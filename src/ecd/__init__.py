@@ -19,11 +19,8 @@ from .errors import (
 )
 from .exprcore import (
     DIV_EPSILON,
-    Constant,
     ExpressionTree,
-    Node,
     Operator,
-    VariableRef,
     const_node,
     dependency_set,
     evaluate,

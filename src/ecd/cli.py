@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Sequence
 
 from . import dataio, gpsr, ris, synthbench
-from .errors import EcdError, InvalidConfig
-from .exprcore import ExpressionTree, Operator, to_dot, tree_to_json
+from .errors import EcdError, InvalidConfig, MalformedTree
+from .exprcore import ExpressionTree, Operator, subtree_at, to_dot, tree_to_json
 
 log = logging.getLogger("ecd")
 
@@ -171,7 +171,10 @@ def _resolve_dataset(run: RunConfig) -> tuple[dataio.Dataset, str, list[str]]:
 
 def _load_model(path: str) -> tuple[ExpressionTree, tuple[str, ...]]:
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except RecursionError:
+            raise MalformedTree(f"model document {path} is nested too deeply to read") from None
     return gpsr.model_from_document(doc)
 
 
@@ -279,7 +282,7 @@ def cmd_ris(args) -> int:
 
 
 def _describe_node(tree: ExpressionTree, node_id: int) -> str:
-    text = ExpressionTree(tree.node(node_id)).infix
+    text = ExpressionTree(subtree_at(tree, node_id)).infix
     if len(text) > 48:
         text = text[:45] + "..."
     return text
@@ -320,7 +323,7 @@ def cmd_counterfactual(args) -> int:
     internal = [
         (node_id, ni)
         for node_id, ni in report.node_impacts.items()
-        if isinstance(tree.node(node_id).payload, Operator)
+        if isinstance(tree.tokens[node_id], Operator)
     ]
     internal.sort(key=lambda item: (-abs(item[1].delta), item[0]))
     top = internal[:2]

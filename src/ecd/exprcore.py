@@ -1,16 +1,20 @@
 """Expression trees over dataset variables, constants, and arithmetic operators.
 
-Trees are immutable after construction and all operations here are pure
-functions, so a tree can be shared and evaluated concurrently. Node ids are
-assigned by preorder traversal at construction time; any structural edit
-produces a new tree with fresh ids.
+A tree is one flat preorder tuple of tokens: an Operator, a variable name
+(str) or a constant (float). Every operator is binary and its two operand
+subtrees follow it, left then right, so every subtree is a contiguous slice
+and a node's id is its index in the tuple. Trees are immutable after
+construction and all operations here are pure functions, so a tree can be
+shared and evaluated concurrently; any structural edit produces a new tree.
+Every walk is a loop, never a recursion, so tree depth is bounded only by
+memory.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import cached_property
+import operator
+from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 import numpy as np
@@ -28,9 +32,12 @@ def pdiv(x: float, y: float) -> float:
     return 1.0
 
 
-def _pdiv_vec(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.ones_like(y)
-    np.divide(x, y, out=out, where=np.abs(y) >= DIV_EPSILON)
+def _pdiv_vec(x, y):
+    """pdiv over arrays, or over an array and a float, element by element."""
+    if isinstance(y, float):
+        return x / y if abs(y) >= DIV_EPSILON else 1.0
+    out = np.divide(x, y)
+    out[~(np.abs(y) >= DIV_EPSILON)] = 1.0  # NaN denominators too, as in pdiv
     return out
 
 
@@ -42,16 +49,10 @@ class Operator(enum.Enum):
     MUL = "mul"
     PDIV = "pdiv"
 
-    @property
-    def arity(self) -> int:
-        return 2
-
-    @property
-    def symbol(self) -> str:
-        return _SYMBOLS[self]
-
-    def apply(self, a: float, b: float) -> float:
-        return _SCALAR_FUNCS[self](a, b)
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality; it runs in C, where Enum's hashes the name in
+    # Python, and token tuples are hashed for every fitness-cache lookup.
+    __hash__ = object.__hash__
 
     def apply_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _VECTOR_FUNCS[self](a, b)
@@ -65,9 +66,9 @@ _SYMBOLS = {
 }
 
 _SCALAR_FUNCS = {
-    Operator.ADD: lambda a, b: a + b,
-    Operator.SUB: lambda a, b: a - b,
-    Operator.MUL: lambda a, b: a * b,
+    Operator.ADD: operator.add,
+    Operator.SUB: operator.sub,
+    Operator.MUL: operator.mul,
     Operator.PDIV: pdiv,
 }
 
@@ -80,48 +81,24 @@ _VECTOR_FUNCS = {
 
 OPERATORS: tuple[Operator, ...] = tuple(Operator)
 
-
-@dataclass(frozen=True)
-class VariableRef:
-    """Leaf payload naming a dataset variable."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class Constant:
-    """Leaf payload holding a numeric constant."""
-
-    value: float
-
-
-Payload = Union[Operator, VariableRef, Constant]
+# Constants are floats and never ints, so no constant compares equal to
+# another token (1 == 1.0 would merge distinct trees in hashed collections).
+Token = Union[Operator, str, float]
+Tokens = tuple  # tuple[Token, ...] in preorder
 
 Bindings = Mapping[str, float]
 
 
-@dataclass(frozen=True)
-class Node:
-    """One expression-tree node: a payload plus ordered children.
-
-    Node is a plain container; structural invariants (leaves childless,
-    operator arity respected) are enforced when an ExpressionTree is built.
-    """
-
-    payload: Payload
-    children: tuple["Node", ...] = ()
+def var_node(name: str) -> Tokens:
+    return (name,)
 
 
-def var_node(name: str) -> Node:
-    return Node(VariableRef(name))
+def const_node(value: float) -> Tokens:
+    return (float(value),)
 
 
-def const_node(value: float) -> Node:
-    return Node(Constant(float(value)))
-
-
-def op_node(operator: Operator, *children: Node) -> Node:
-    return Node(operator, tuple(children))
+def op_node(operator: Operator, *children: Tokens) -> Tokens:
+    return (operator,) + tuple(token for child in children for token in child)
 
 
 def format_constant(value: float) -> str:
@@ -131,125 +108,111 @@ def format_constant(value: float) -> str:
     return repr(value)
 
 
-def _validate(node: Node) -> None:
-    payload = node.payload
-    if isinstance(payload, Operator):
-        if len(node.children) != payload.arity:
-            raise MalformedTree(
-                f"operator {payload.value} expects {payload.arity} children, "
-                f"got {len(node.children)}"
-            )
-    elif isinstance(payload, VariableRef):
-        if node.children:
-            raise MalformedTree("variable leaves must have no children")
-        if not payload.name:
-            raise MalformedTree("variable names must be nonempty")
-    elif isinstance(payload, Constant):
-        if node.children:
-            raise MalformedTree("constant leaves must have no children")
-    else:
-        raise MalformedTree(f"unknown payload type: {type(payload).__name__}")
-    for child in node.children:
-        _validate(child)
+_TOKEN_TYPES = frozenset((Operator, str, float))
 
 
-def preorder_nodes(root: Node) -> list[Node]:
-    """All nodes in preorder; list index equals the node id in a tree built on root."""
-    out: list[Node] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        stack.extend(reversed(node.children))
-    return out
+def _malformed(tokens: Tokens, parsed_end: int) -> MalformedTree:
+    """The first fault of a token sequence that does not encode one tree."""
+    for index, token in enumerate(tokens):
+        if type(token) not in _TOKEN_TYPES:
+            return MalformedTree(f"node {index}: unknown token type {type(token).__name__}")
+        if token == "":
+            return MalformedTree(f"node {index}: variable names must be nonempty")
+    if not tokens:
+        return MalformedTree("empty token sequence")
+    if parsed_end > len(tokens):
+        return MalformedTree("tokens end before every operator has 2 operands")
+    return MalformedTree(f"tokens continue past the end of the tree at node {parsed_end}")
 
 
-def node_size(root: Node) -> int:
-    return len(preorder_nodes(root))
-
-
-def node_depth(root: Node) -> int:
-    """Longest root-to-leaf path, counted in edges."""
-    if not root.children:
-        return 0
-    return 1 + max(node_depth(c) for c in root.children)
-
-
-def subtree_at(root: Node, index: int) -> Node:
-    nodes = preorder_nodes(root)
-    if index < 0 or index >= len(nodes):
-        raise UnknownNodeId(index)
-    return nodes[index]
-
-
-def replace_at(root: Node, index: int, replacement: Node) -> Node:
-    """New root with the subtree at preorder position `index` swapped out."""
-
-    def rec(node: Node, pos: int) -> tuple[Node, int]:
-        if pos == index:
-            return replacement, pos + node_size(node)
-        if not node.children:
-            return node, pos + 1
-        consumed = pos + 1
-        new_children = []
-        changed = False
-        for child in node.children:
-            new_child, consumed = rec(child, consumed)
-            changed = changed or new_child is not child
-            new_children.append(new_child)
-        if not changed:
-            return node, consumed
-        return Node(node.payload, tuple(new_children)), consumed
-
-    new_root, total = rec(root, 0)
-    if index < 0 or index >= total:
-        raise UnknownNodeId(index)
-    return new_root
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpressionTree:
-    """A validated expression tree with stable preorder node ids."""
+    """A validated preorder token tuple with stable node ids.
 
-    root: Node
+    ends[i] is the index just past the subtree rooted at node i, so that
+    subtree is tokens[i:ends[i]]; an operator's left operand starts at i + 1
+    and its right operand at ends[i + 1]. depth counts edges on the longest
+    root-to-leaf path.
+    """
+
+    tokens: Tokens
+    ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    size: int = field(init=False, repr=False, compare=False)
+    depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _validate(self.root)
+        tokens = self.tokens
+        if type(tokens) is not tuple:
+            tokens = tuple(tokens)
+            object.__setattr__(self, "tokens", tokens)
+        n = len(tokens)
+        # One pass from the last token back, so both operands of an operator
+        # are done before it. A leaf ends just after itself; slots n and n + 1
+        # stand for an operand past the last token, and their end n + 1
+        # carries up to every operator above it.
+        ends = list(range(1, n + 2))
+        ends.append(n + 1)
+        heights = [0] * (n + 2)
+        for i in range(n - 1, -1, -1):
+            if tokens[i].__class__ is Operator:
+                right = ends[i + 1]
+                ends[i] = ends[right]
+                a, b = heights[i + 1], heights[right]
+                heights[i] = (a if a > b else b) + 1
+        if ends[0] != n or not _TOKEN_TYPES.issuperset(map(type, tokens)) or "" in tokens:
+            raise _malformed(tokens, ends[0])
+        del ends[n:]
+        object.__setattr__(self, "ends", tuple(ends))
+        object.__setattr__(self, "size", n)
+        object.__setattr__(self, "depth", heights[0])
 
-    @cached_property
-    def nodes(self) -> tuple[Node, ...]:
-        """Nodes in preorder; the id of a node is its index here."""
-        return tuple(preorder_nodes(self.root))
-
-    @cached_property
-    def size(self) -> int:
-        return len(self.nodes)
-
-    @cached_property
-    def depth(self) -> int:
-        return node_depth(self.root)
-
-    @cached_property
+    @property
     def infix(self) -> str:
-        return _infix(self.root)
-
-    def node(self, node_id: int) -> Node:
-        if node_id < 0 or node_id >= len(self.nodes):
-            raise UnknownNodeId(node_id)
-        return self.nodes[node_id]
+        """Fully parenthesized, deterministic infix rendering."""
+        stack: list[str] = []
+        for token in reversed(self.tokens):
+            if isinstance(token, Operator):
+                left = stack.pop()
+                stack[-1] = f"({left} {_SYMBOLS[token]} {stack[-1]})"
+            elif isinstance(token, str):
+                stack.append(token)
+            else:
+                stack.append(format_constant(token))
+        return stack[0]
 
     def __str__(self) -> str:
         return self.infix
 
 
-def _infix(node: Node) -> str:
-    payload = node.payload
-    if isinstance(payload, VariableRef):
-        return payload.name
-    if isinstance(payload, Constant):
-        return format_constant(payload.value)
-    left, right = node.children
-    return f"({_infix(left)} {payload.symbol} {_infix(right)})"
+def node_depth(tokens: Tokens) -> int:
+    """Longest root-to-leaf path, counted in edges, of the tree that a valid
+    preorder token sequence encodes; cheaper than building the tree."""
+    deepest = 0
+    pending = [0]  # depths of the operand slots still to fill, next on top
+    pop, push = pending.pop, pending.append
+    for token in tokens:
+        level = pop()
+        if isinstance(token, Operator):
+            push(level + 1)
+            push(level + 1)
+        elif level > deepest:
+            deepest = level
+    return deepest
+
+
+def subtree_at(tree: ExpressionTree, index: int) -> Tokens:
+    """Tokens of the subtree rooted at node `index`."""
+    if index < 0 or index >= tree.size:
+        raise UnknownNodeId(index)
+    return tree.tokens[index : tree.ends[index]]
+
+
+def replace_at(tree: ExpressionTree, index: int, replacement: Tokens) -> Tokens:
+    """Tokens of the tree with the subtree at node `index` swapped out."""
+    if index < 0 or index >= tree.size:
+        raise UnknownNodeId(index)
+    tokens = tree.tokens
+    return tokens[:index] + replacement + tokens[tree.ends[index] :]
 
 
 def to_infix(tree: ExpressionTree) -> str:
@@ -267,28 +230,29 @@ def depth(tree: ExpressionTree) -> int:
 
 def dependency_set(tree: ExpressionTree) -> set[str]:
     """Names of all variables referenced anywhere in the tree."""
-    return {
-        node.payload.name for node in tree.nodes if isinstance(node.payload, VariableRef)
-    }
+    return {token for token in tree.tokens if isinstance(token, str)}
+
+
+def _node_values(tree: ExpressionTree, bindings: Bindings) -> list[float]:
+    tokens, ends = tree.tokens, tree.ends
+    values = [0.0] * len(tokens)
+    for i in range(len(tokens) - 1, -1, -1):
+        token = tokens[i]
+        if isinstance(token, Operator):
+            values[i] = _SCALAR_FUNCS[token](values[i + 1], values[ends[i + 1]])
+        elif isinstance(token, str):
+            try:
+                values[i] = float(bindings[token])
+            except KeyError:
+                raise MissingVariable(token) from None
+        else:
+            values[i] = token
+    return values
 
 
 def evaluate(tree: ExpressionTree, bindings: Bindings) -> float:
     """Value at the root under the given variable bindings."""
-    return _eval_scalar(tree.root, bindings)
-
-
-def _eval_scalar(node: Node, bindings: Bindings) -> float:
-    payload = node.payload
-    if isinstance(payload, VariableRef):
-        try:
-            return float(bindings[payload.name])
-        except KeyError:
-            raise MissingVariable(payload.name) from None
-    if isinstance(payload, Constant):
-        return payload.value
-    a = _eval_scalar(node.children[0], bindings)
-    b = _eval_scalar(node.children[1], bindings)
-    return payload.apply(a, b)
+    return _node_values(tree, bindings)[0]
 
 
 def evaluate_nodes(tree: ExpressionTree, bindings: Bindings) -> dict[int, float]:
@@ -297,58 +261,34 @@ def evaluate_nodes(tree: ExpressionTree, bindings: Bindings) -> dict[int, float]
     One bottom-up pass; on an acyclic structure this is already the fixpoint,
     and the root entry equals evaluate(tree, bindings) exactly.
     """
-    values: dict[int, float] = {}
-
-    def rec(node: Node, pos: int) -> tuple[float, int]:
-        payload = node.payload
-        my_id = pos
-        if isinstance(payload, VariableRef):
-            try:
-                value = float(bindings[payload.name])
-            except KeyError:
-                raise MissingVariable(payload.name) from None
-            values[my_id] = value
-            return value, pos + 1
-        if isinstance(payload, Constant):
-            values[my_id] = payload.value
-            return payload.value, pos + 1
-        consumed = pos + 1
-        args = []
-        for child in node.children:
-            value, consumed = rec(child, consumed)
-            args.append(value)
-        value = payload.apply(*args)
-        values[my_id] = value
-        return value, consumed
-
-    rec(tree.root, 0)
-    return values
+    return dict(enumerate(_node_values(tree, bindings)))
 
 
 def evaluate_batch(tree: ExpressionTree, data) -> np.ndarray:
     """Row-wise evaluation over a dataset; element i equals evaluate on row i.
 
-    Vectorized over columns; float64 arithmetic makes the result bit-identical
-    to the scalar path.
+    A stack machine over the tokens in reverse, one vector operation per
+    operator. Constants stay floats, so constant subtrees fold to floats, and
+    an operation on a float and a column broadcasts. float64 arithmetic makes
+    the result bit-identical to the scalar path.
     """
     columns = data.columns
-    n = data.n_rows
+    stack: list = []
     with np.errstate(all="ignore"):
-        return _eval_vec(tree.root, columns, n)
-
-
-def _eval_vec(node: Node, columns: Mapping[str, np.ndarray], n: int) -> np.ndarray:
-    payload = node.payload
-    if isinstance(payload, VariableRef):
-        try:
-            return columns[payload.name]
-        except KeyError:
-            raise MissingVariable(payload.name) from None
-    if isinstance(payload, Constant):
-        return np.full(n, payload.value)
-    a = _eval_vec(node.children[0], columns, n)
-    b = _eval_vec(node.children[1], columns, n)
-    return payload.apply_vec(a, b)
+        for token in reversed(tree.tokens):
+            if isinstance(token, Operator):
+                left = stack.pop()
+                stack[-1] = _VECTOR_FUNCS[token](left, stack[-1])
+            elif isinstance(token, str):
+                try:
+                    stack.append(columns[token])
+                except KeyError:
+                    raise MissingVariable(token) from None
+            else:
+                stack.append(token)
+    if isinstance(stack[0], float):
+        return np.full(data.n_rows, stack[0])
+    return stack[0]
 
 
 def _dot_escape(text: str) -> str:
@@ -366,65 +306,66 @@ def to_dot(tree: ExpressionTree, annotations: Mapping[int, str] | None = None) -
         if key < 0 or key >= tree.size:
             raise UnknownNodeId(key)
 
+    tokens, ends = tree.tokens, tree.ends
     lines = ["digraph expression_tree {"]
-    nodes = tree.nodes
-    for node_id, node in enumerate(nodes):
-        payload = node.payload
-        if isinstance(payload, Operator):
-            label, shape = payload.symbol, "ellipse"
-        elif isinstance(payload, VariableRef):
-            label, shape = payload.name, "box"
+    parent = [0] * len(tokens)
+    for node_id, token in enumerate(tokens):
+        if isinstance(token, Operator):
+            label, shape = _SYMBOLS[token], "ellipse"
+            parent[node_id + 1] = parent[ends[node_id + 1]] = node_id
+        elif isinstance(token, str):
+            label, shape = token, "box"
         else:
-            label, shape = format_constant(payload.value), "box"
+            label, shape = format_constant(token), "box"
         if node_id in annotations:
             label = f"{label}\\n{_dot_escape(annotations[node_id])}"
         else:
             label = _dot_escape(label)
         lines.append(f'  n{node_id} [label="{label}" shape={shape}];')
-
-    def edges(node: Node, pos: int) -> int:
-        my_id = pos
-        consumed = pos + 1
-        for child in node.children:
-            lines.append(f"  n{consumed} -> n{my_id};")
-            consumed = edges(child, consumed)
-        return consumed
-
-    edges(tree.root, 0)
+    lines.extend(f"  n{node_id} -> n{parent[node_id]};" for node_id in range(1, len(tokens)))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def tree_to_json(tree: ExpressionTree) -> dict:
     """Nested-node document for the tree, suitable for JSON serialization."""
-
-    def rec(node: Node) -> dict:
-        payload = node.payload
-        if isinstance(payload, VariableRef):
-            return {"var": payload.name}
-        if isinstance(payload, Constant):
-            return {"const": payload.value}
-        return {"op": payload.value, "children": [rec(c) for c in node.children]}
-
-    return rec(tree.root)
+    stack: list[dict] = []
+    for token in reversed(tree.tokens):
+        if isinstance(token, Operator):
+            left = stack.pop()
+            stack[-1] = {"op": token.value, "children": [left, stack[-1]]}
+        elif isinstance(token, str):
+            stack.append({"var": token})
+        else:
+            stack.append({"const": token})
+    return stack[0]
 
 
 def tree_from_json(doc: dict) -> ExpressionTree:
     """Inverse of tree_to_json; raises MalformedTree on unrecognized documents."""
-
-    def rec(item) -> Node:
+    tokens: list = []
+    stack = [doc]
+    while stack:
+        item = stack.pop()
         if not isinstance(item, dict):
             raise MalformedTree(f"expected an object, got {type(item).__name__}")
         if "var" in item:
-            return var_node(str(item["var"]))
-        if "const" in item:
-            return const_node(float(item["const"]))
-        if "op" in item:
+            tokens.append(str(item["var"]))
+        elif "const" in item:
             try:
-                operator = Operator(item["op"])
+                tokens.append(float(item["const"]))
+            except (TypeError, ValueError):
+                raise MalformedTree(f"constant is not a number: {item['const']!r}") from None
+        elif "op" in item:
+            try:
+                tokens.append(Operator(item["op"]))
             except ValueError:
                 raise MalformedTree(f"unknown operator {item['op']!r}") from None
-            return Node(operator, tuple(rec(c) for c in item.get("children", [])))
-        raise MalformedTree(f"node object needs var, const, or op: {sorted(item)}")
-
-    return ExpressionTree(rec(doc))
+            children = item.get("children", [])
+            if not isinstance(children, list) or len(children) != 2:
+                raise MalformedTree(f"operator {item['op']} expects a list of 2 children")
+            stack.append(children[1])
+            stack.append(children[0])
+        else:
+            raise MalformedTree(f"node object needs var, const, or op: {sorted(item)}")
+    return ExpressionTree(tuple(tokens))

@@ -28,9 +28,9 @@ from .errors import (
 from .exprcore import (
     OPERATORS,
     ExpressionTree,
-    Node,
     Operator,
-    const_node,
+    Token,
+    Tokens,
     dependency_set,
     evaluate_batch,
     node_depth,
@@ -38,7 +38,6 @@ from .exprcore import (
     subtree_at,
     tree_from_json,
     tree_to_json,
-    var_node,
 )
 
 # Substitute fitness for trees whose predictions overflow or degenerate;
@@ -163,12 +162,12 @@ def _rng_streams(config: GpConfig) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(s)) for s in seqs]
 
 
-def _random_leaf(rng: np.random.Generator, variables: Sequence[str], constant_range) -> Node:
+def _random_leaf(rng: np.random.Generator, variables: Sequence[str], constant_range) -> Token:
     # Constants occupy one slot alongside the variables.
     pick = int(rng.integers(0, len(variables) + 1))
     if pick == len(variables):
-        return const_node(float(rng.uniform(*constant_range)))
-    return var_node(variables[pick])
+        return float(rng.uniform(*constant_range))
+    return variables[pick]
 
 
 def _random_operator(rng: np.random.Generator) -> Operator:
@@ -182,16 +181,20 @@ def _random_tree(
     target_depth: int,
     min_depth: int,
     full: bool,
-) -> Node:
-    def build(level: int) -> Node:
-        if level >= target_depth:
-            return _random_leaf(rng, variables, constant_range)
-        if level >= min_depth and not full and rng.random() < GROW_TERMINAL_PROB:
-            return _random_leaf(rng, variables, constant_range)
-        operator = _random_operator(rng)
-        return Node(operator, tuple(build(level + 1) for _ in range(operator.arity)))
-
-    return build(0)
+) -> Tokens:
+    """Preorder tokens of a random tree, emitted in the order they are drawn."""
+    tokens = []
+    pending = [0]  # depths of the operand slots still to fill, next on top
+    while pending:
+        level = pending.pop()
+        if level >= target_depth or (
+            level >= min_depth and not full and rng.random() < GROW_TERMINAL_PROB
+        ):
+            tokens.append(_random_leaf(rng, variables, constant_range))
+        else:
+            tokens.append(_random_operator(rng))
+            pending += (level + 1, level + 1)
+    return tuple(tokens)
 
 
 def init_population(
@@ -208,10 +211,10 @@ def init_population(
     population = []
     for i in range(config.population_size):
         target = depths[(i // 2) % len(depths)]
-        root = _random_tree(
+        tokens = _random_tree(
             rng, names, config.constant_range, target, lo, full=(i % 2 == 0)
         )
-        population.append(Individual(ExpressionTree(root)))
+        population.append(Individual(ExpressionTree(tokens)))
     return population
 
 
@@ -225,31 +228,29 @@ def fitness(
     """
     if data.n_rows == 0:
         raise EmptyDataset("cannot score against an empty dataset")
-    target = data.column(response)
-    predictions = evaluate_batch(tree, data)
-    raw_mse = float(np.mean((predictions - target) ** 2))
+    residuals = evaluate_batch(tree, data) - data.column(response)
+    # np.mean's own sum and division, without its Python-level wrapper.
+    raw_mse = float(np.add.reduce(residuals * residuals)) / len(residuals)
     if not math.isfinite(raw_mse):
         raw_mse = PENALTY_MSE
     return raw_mse + parsimony_coeff * tree.size, raw_mse
 
 
 def select(
-    population: Sequence[Individual], tournament_size: int, rng: np.random.Generator
+    population: Sequence[Individual],
+    tournament_size: int,
+    rng: np.random.Generator,
+    ranks: Sequence[int] | None = None,
 ) -> Individual:
     """Tournament of uniformly sampled entrants, with replacement. Ties fall to
-    smaller trees, then to the earlier population index."""
+    smaller trees, then to the earlier population index. ranks[i], if given,
+    is the position of population[i] in that (fitness, size, index) order."""
     if not population:
         raise EmptyPopulation("cannot select from an empty population")
-    entrants = rng.integers(0, len(population), size=tournament_size)
-    best = None
-    best_key = None
-    for idx in entrants:
-        idx = int(idx)
-        ind = population[idx]
-        key = (ind.fitness, ind.tree.size, idx)
-        if best_key is None or key < best_key:
-            best, best_key = ind, key
-    return best
+    entrants = rng.integers(0, len(population), size=tournament_size).tolist()
+    if ranks is None:
+        ranks = {i: (population[i].fitness, population[i].tree.size, i) for i in entrants}
+    return population[min(entrants, key=ranks.__getitem__)]
 
 
 def crossover(
@@ -262,29 +263,29 @@ def crossover(
     by a copy of its corresponding parent."""
     point_a = int(rng.integers(0, parent_a.size))
     point_b = int(rng.integers(0, parent_b.size))
-    sub_a = subtree_at(parent_a.root, point_a)
-    sub_b = subtree_at(parent_b.root, point_b)
-    root_a = replace_at(parent_a.root, point_a, sub_b)
-    root_b = replace_at(parent_b.root, point_b, sub_a)
-    child_a = parent_a if node_depth(root_a) > max_depth else ExpressionTree(root_a)
-    child_b = parent_b if node_depth(root_b) > max_depth else ExpressionTree(root_b)
-    return child_a, child_b
+    sub_a = subtree_at(parent_a, point_a)
+    sub_b = subtree_at(parent_b, point_b)
+    # Children are built before their depth is checked: few exceed max_depth.
+    child_a = ExpressionTree(replace_at(parent_a, point_a, sub_b))
+    child_b = ExpressionTree(replace_at(parent_b, point_b, sub_a))
+    return (
+        parent_a if child_a.depth > max_depth else child_a,
+        parent_b if child_b.depth > max_depth else child_b,
+    )
 
 
 def _point_mutation(
     tree: ExpressionTree, variables: Sequence[str], config: GpConfig, rng: np.random.Generator
 ) -> ExpressionTree:
+    """Swap one token for another of the same kind; operands stay in place."""
     idx = int(rng.integers(0, tree.size))
-    node = subtree_at(tree.root, idx)
-    if isinstance(node.payload, Operator):
-        alternatives = [op for op in OPERATORS if op is not node.payload]
-        if not alternatives:
-            return tree
-        swapped = alternatives[int(rng.integers(0, len(alternatives)))]
-        new_node = Node(swapped, node.children)
+    token = tree.tokens[idx]
+    if isinstance(token, Operator):
+        alternatives = [op for op in OPERATORS if op is not token]
+        token = alternatives[int(rng.integers(0, len(alternatives)))]
     else:
-        new_node = _random_leaf(rng, variables, config.constant_range)
-    return ExpressionTree(replace_at(tree.root, idx, new_node))
+        token = _random_leaf(rng, variables, config.constant_range)
+    return ExpressionTree(tree.tokens[:idx] + (token,) + tree.tokens[idx + 1 :])
 
 
 def mutate(
@@ -303,9 +304,9 @@ def mutate(
             fresh = _random_tree(
                 rng, names, config.constant_range, target_depth=2, min_depth=0, full=False
             )
-            root = replace_at(tree.root, idx, fresh)
-            if node_depth(root) <= config.max_depth:
-                return ExpressionTree(root)
+            tokens = replace_at(tree, idx, fresh)
+            if node_depth(tokens) <= config.max_depth:
+                return ExpressionTree(tokens)
     return _point_mutation(tree, names, config, rng)
 
 
@@ -316,7 +317,7 @@ def diversity(population: Sequence[Individual]) -> float:
         raise EmptyPopulation("diversity of an empty population is undefined")
     if len(population) == 1:
         return 0.0
-    distinct = len({ind.tree.infix for ind in population})
+    distinct = len({ind.tree.tokens for ind in population})
     return (distinct - 1) / (len(population) - 1)
 
 
@@ -339,12 +340,14 @@ def evolve(data: Dataset, response: str, config: GpConfig) -> FitResult:
     streams = _rng_streams(config)
     population = init_population(config, variables, streams[0])
 
-    cache: dict[str, tuple[float, float]] = {}
+    # Keyed by token tuple: equal tuples are equal trees, and constants are
+    # floats only, so no two distinct trees share a key.
+    cache: dict[tuple, tuple[float, float]] = {}
 
     def score(ind: Individual) -> None:
         if ind.fitness is not None:
             return
-        key = ind.tree.infix
+        key = ind.tree.tokens
         hit = cache.get(key)
         if hit is None:
             hit = fitness(ind.tree, data, response, config.parsimony_coeff)
@@ -395,12 +398,15 @@ def evolve(data: Dataset, response: str, config: GpConfig) -> FitResult:
             break
 
         rng = streams[generation + 1]
+        ranks = [0] * len(order)
+        for rank, i in enumerate(order):
+            ranks[i] = rank
         offspring: list[Individual] = [population[i] for i in order[: config.elitism_count]]
         while len(offspring) < config.population_size:
-            parent = select(population, config.tournament_size, rng)
+            parent = select(population, config.tournament_size, rng, ranks)
             tree = parent.tree
             if rng.random() < config.crossover_prob:
-                mate = select(population, config.tournament_size, rng)
+                mate = select(population, config.tournament_size, rng, ranks)
                 tree, _ = crossover(tree, mate.tree, config.max_depth, rng)
             if rng.random() < config.mutation_prob:
                 tree = mutate(tree, variables, config, rng)
@@ -455,6 +461,8 @@ def model_from_document(doc: dict) -> tuple[ExpressionTree, tuple[str, ...]]:
     The tree may reference only declared variables; anything else means the
     document was hand-edited or truncated.
     """
+    if not isinstance(doc, dict):
+        raise MalformedTree(f"model document must be an object, got {type(doc).__name__}")
     try:
         tree = tree_from_json(doc["tree"])
         variables = tuple(str(v) for v in doc["variables"])

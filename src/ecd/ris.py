@@ -17,16 +17,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataio import Dataset
-from .errors import EmptyColumn, MissingVariable, NonFiniteBaseline
+from .errors import EmptyColumn, InvalidConfig, MissingVariable, NonFiniteBaseline
 from .exprcore import (
     ExpressionTree,
-    Node,
     Operator,
     const_node,
     dependency_set,
     evaluate,
     evaluate_nodes,
-    node_size,
     replace_at,
 )
 
@@ -297,14 +295,6 @@ def counterfactual(
     return ris(tree, scenario, [intervention])[0]
 
 
-def _internal_ids(tree: ExpressionTree) -> set[int]:
-    return {
-        node_id
-        for node_id, node in enumerate(tree.nodes)
-        if isinstance(node.payload, Operator)
-    }
-
-
 def simplify_by_impact(
     tree: ExpressionTree,
     data: Dataset,
@@ -321,8 +311,8 @@ def simplify_by_impact(
     at all three quartile baselines within threshold. Returned ids are the
     pruned subtree roots, numbered in the original tree.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not threshold >= 0:
+        raise InvalidConfig(f"threshold must be nonnegative, got {threshold!r}")
     baselines = quartile_baselines(data, predictors)
 
     max_delta = {node_id: 0.0 for node_id in range(tree.size)}
@@ -336,37 +326,26 @@ def simplify_by_impact(
                 if delta > max_delta[node_id]:
                     max_delta[node_id] = delta
 
-    internal = _internal_ids(tree)
-    quiet = {node_id for node_id in internal if max_delta[node_id] <= threshold}
-
-    # Maximal subtrees whose operator nodes are all quiet, found top-down:
-    # fill() scores every subtree bottom-up, mark() records only the highest
-    # qualifying roots so candidates are disjoint.
+    # Maximal subtrees whose operator nodes are all quiet: one pass from the
+    # last node back marks every qualifying subtree (leaves qualify, an
+    # operator when it is quiet and both operands qualify); a scan from the
+    # root then takes the highest qualifying operators, skipping their
+    # subtrees, so candidates are disjoint and in preorder.
+    tokens, ends = tree.tokens, tree.ends
+    ok = [True] * tree.size
+    for node_id in range(tree.size - 1, -1, -1):
+        if isinstance(tokens[node_id], Operator):
+            ok[node_id] = (
+                max_delta[node_id] <= threshold and ok[node_id + 1] and ok[ends[node_id + 1]]
+            )
     candidates: list[int] = []
-
-    def mark(node: Node, node_id: int, subtree_ok: dict[int, bool]) -> None:
-        if subtree_ok[node_id] and node.children:
+    node_id = 0
+    while node_id < tree.size:
+        if ok[node_id] and isinstance(tokens[node_id], Operator):
             candidates.append(node_id)
-            return
-        child_id = node_id + 1
-        for child in node.children:
-            mark(child, child_id, subtree_ok)
-            child_id += node_size(child)
-
-    subtree_ok: dict[int, bool] = {}
-
-    def fill(node: Node, node_id: int) -> tuple[bool, int]:
-        end = node_id + 1
-        ok_children = True
-        for child in node.children:
-            ok, end = fill(child, end)
-            ok_children = ok_children and ok
-        ok = (not node.children) or (node_id in quiet and ok_children)
-        subtree_ok[node_id] = ok
-        return ok, end
-
-    fill(tree.root, 0)
-    mark(tree.root, 0, subtree_ok)
+            node_id = ends[node_id]
+        else:
+            node_id += 1
 
     if not candidates:
         return tree, []
@@ -374,24 +353,20 @@ def simplify_by_impact(
     q2_values = evaluate_nodes(tree, baselines[1].values)
     original_outputs = [evaluate(tree, b.values) for b in baselines]
 
-    current_root = tree.root
-    shift = 0
+    current = tree
+    shift = 0  # nodes removed so far ahead of the next candidate
     pruned: list[int] = []
     for orig_id in candidates:
-        subtree = tree.nodes[orig_id]
-        candidate_root = replace_at(
-            current_root, orig_id - shift, const_node(q2_values[orig_id])
+        candidate = ExpressionTree(
+            replace_at(current, orig_id - shift, const_node(q2_values[orig_id]))
         )
-        candidate_tree = ExpressionTree(candidate_root)
         if all(
-            abs(evaluate(candidate_tree, b.values) - original)
+            abs(evaluate(candidate, b.values) - original)
             <= threshold
             for b, original in zip(baselines, original_outputs)
         ):
-            current_root = candidate_root
-            shift += node_size(subtree) - 1
+            current = candidate
+            shift += ends[orig_id] - orig_id - 1
             pruned.append(orig_id)
 
-    if not pruned:
-        return tree, []
-    return ExpressionTree(current_root), pruned
+    return current, pruned

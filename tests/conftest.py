@@ -1,25 +1,36 @@
 """Shared oracles and generators.
 
 naive_eval and naive_derivative are written from scratch on purpose: they are
-the reference the library is checked against, so they share no evaluation
-code with it beyond reading the same node structure.
+the reference the library is checked against, so they share no code with it
+beyond reading the same preorder tokens. They find operands by their own
+recursive descent, not through ExpressionTree.ends.
 """
 
 import numpy as np
 import pytest
 
-from ecd.exprcore import Constant, ExpressionTree, Node, Operator, VariableRef
+from ecd.exprcore import ExpressionTree, Operator
 
 
-def naive_eval(node, bindings):
+def operands(tokens):
+    """(left, right) token slices of an operator-rooted preorder token tuple."""
+    pos, need = 1, 1
+    while need:
+        need += 1 if isinstance(tokens[pos], Operator) else -1
+        pos += 1
+    return tokens[1:pos], tokens[pos:]
+
+
+def naive_eval(tokens, bindings):
     """Recursive reference evaluator with its own arithmetic and guard."""
-    p = node.payload
-    if isinstance(p, VariableRef):
-        return float(bindings[p.name])
-    if isinstance(p, Constant):
-        return p.value
-    a = naive_eval(node.children[0], bindings)
-    b = naive_eval(node.children[1], bindings)
+    p = tokens[0]
+    if isinstance(p, str):
+        return float(bindings[p])
+    if isinstance(p, float):
+        return p
+    left, right = operands(tokens)
+    a = naive_eval(left, bindings)
+    b = naive_eval(right, bindings)
     if p is Operator.ADD:
         return a + b
     if p is Operator.SUB:
@@ -28,21 +39,21 @@ def naive_eval(node, bindings):
         return a * b
     if p is Operator.PDIV:
         return a / b if abs(b) >= 1e-6 else 1.0
-    raise AssertionError(f"unexpected payload {p!r}")
+    raise AssertionError(f"unexpected token {p!r}")
 
 
-def naive_derivative(node, var, bindings):
-    """Analytic partial derivative d(node)/d(var) at the given point.
+def naive_derivative(tokens, var, bindings):
+    """Analytic partial derivative d(tree)/d(var) at the given point.
 
     Inside the protected-division guard the operator is constant 1.0, so its
     derivative there is 0.
     """
-    p = node.payload
-    if isinstance(p, VariableRef):
-        return 1.0 if p.name == var else 0.0
-    if isinstance(p, Constant):
+    p = tokens[0]
+    if isinstance(p, str):
+        return 1.0 if p == var else 0.0
+    if isinstance(p, float):
         return 0.0
-    left, right = node.children
+    left, right = operands(tokens)
     a = naive_eval(left, bindings)
     b = naive_eval(right, bindings)
     da = naive_derivative(left, var, bindings)
@@ -57,21 +68,23 @@ def naive_derivative(node, var, bindings):
         if abs(b) < 1e-6:
             return 0.0
         return (da * b - a * db) / (b * b)
-    raise AssertionError(f"unexpected payload {p!r}")
+    raise AssertionError(f"unexpected token {p!r}")
 
 
 VARS = ("u", "v", "w", "x")
 
 
 def random_node(rng, depth, variables=VARS, const_lo=-4.0, const_hi=4.0):
-    """Random tree of exactly bounded depth; leaves are variables or moderate
-    constants so double arithmetic stays far from overflow."""
+    """Preorder tokens of a random tree of exactly bounded depth; leaves are
+    variables or moderate constants so double arithmetic stays far from
+    overflow."""
     if depth == 0 or (depth < 3 and rng.random() < 0.3):
         if rng.random() < 0.5:
-            return Node(VariableRef(variables[int(rng.integers(0, len(variables)))]))
-        return Node(Constant(float(rng.uniform(const_lo, const_hi))))
+            return (variables[int(rng.integers(0, len(variables)))],)
+        return (float(rng.uniform(const_lo, const_hi)),)
     op = list(Operator)[int(rng.integers(0, 4))]
-    return Node(op, tuple(random_node(rng, depth - 1, variables, const_lo, const_hi) for _ in range(2)))
+    left = random_node(rng, depth - 1, variables, const_lo, const_hi)
+    return (op,) + left + random_node(rng, depth - 1, variables, const_lo, const_hi)
 
 
 def random_tree(rng, max_depth=5, variables=VARS):

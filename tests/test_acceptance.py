@@ -13,12 +13,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import VARS, naive_derivative, naive_eval, random_tree
+from conftest import VARS, naive_derivative, naive_eval, operands, random_tree
 
 from ecd.dataio import Dataset
 from ecd.exprcore import (
     ExpressionTree,
-    Node,
     Operator,
     const_node,
     evaluate,
@@ -153,20 +152,21 @@ def test_03_perturbation_oracle_equivalence():
             shifted[name] = current + magnitude
         else:
             shifted[name] = magnitude
-        expected = naive_eval(tree.root, shifted) - naive_eval(tree.root, bindings)
+        expected = naive_eval(tree.tokens, shifted) - naive_eval(tree.tokens, bindings)
         (rep,) = ris(tree, BaselineSpec(bindings, "b"), [PerturbationSpec(name, mode, magnitude)])
         if rep.impact != expected:
             mismatches += 1
     report(3, "perturbation oracle equivalence", mismatches == 0, f"{mismatches}/1000 mismatches")
 
 
-def _denominators_bounded(node, bindings, floor=1e-3):
-    if not node.children:
+def _denominators_bounded(tokens, bindings, floor=1e-3):
+    if not isinstance(tokens[0], Operator):
         return True
-    if node.payload is Operator.PDIV:
-        if abs(naive_eval(node.children[1], bindings)) < floor:
+    left, right = operands(tokens)
+    if tokens[0] is Operator.PDIV:
+        if abs(naive_eval(right, bindings)) < floor:
             return False
-    return all(_denominators_bounded(child, bindings, floor) for child in node.children)
+    return all(_denominators_bounded(child, bindings, floor) for child in (left, right))
 
 
 def test_04_derivative_consistency():
@@ -183,9 +183,9 @@ def test_04_derivative_consistency():
         tree = random_tree(rng, max_depth=4)
         bindings = {name: float(rng.uniform(-3.0, 3.0)) for name in VARS}
         name = VARS[int(rng.integers(0, len(VARS)))]
-        if not _denominators_bounded(tree.root, bindings):
+        if not _denominators_bounded(tree.tokens, bindings):
             continue
-        derivative = naive_derivative(tree.root, name, bindings)
+        derivative = naive_derivative(tree.tokens, name, bindings)
         if abs(derivative) < 1e-2:
             continue
         (rep,) = ris(
@@ -231,10 +231,11 @@ def test_06_elitist_monotonicity(noiseless_runs):
     report(6, "elitist monotonicity", bad_runs == 0, f"{bad_runs}/10 runs regressed")
 
 
-def _contains_object(node, target):
-    if node is target:
-        return True
-    return any(_contains_object(child, target) for child in node.children)
+def _contains_slice(tokens, part):
+    # A run of tokens equal to a whole subtree's tokens is that subtree, so
+    # this finds the injected subtree wherever it survived, and any other
+    # subtree equal to it as well.
+    return any(tokens[i : i + len(part)] == part for i in range(len(tokens) - len(part) + 1))
 
 
 def test_07_simplification_safety():
@@ -248,15 +249,15 @@ def test_07_simplification_safety():
         inert = op_node(Operator.MUL, const_node(0.0), leaf)
         victim = int(rng.integers(0, base.size))
         if victim == 0 and base.size == 1:
-            root = inert
+            tokens = inert
         elif victim == 0:
-            root = Node(Operator.ADD, (base.root, inert))
+            tokens = op_node(Operator.ADD, base.tokens, inert)
         else:
-            root = replace_at(base.root, victim, inert)
-        tree = ExpressionTree(root)
+            tokens = replace_at(base, victim, inert)
+        tree = ExpressionTree(tokens)
         data = Dataset({name: rng.uniform(0.5, 9.5, 30) for name in VARS})
         simplified, _ = simplify_by_impact(tree, data, list(VARS), threshold=threshold)
-        if _contains_object(simplified.root, inert):
+        if _contains_slice(simplified.tokens, inert):
             remained += 1
         for spec in quartile_baselines(data, list(VARS)):
             if abs(evaluate(simplified, spec.values) - evaluate(tree, spec.values)) > threshold:

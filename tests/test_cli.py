@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import logging
 
@@ -370,3 +371,68 @@ class TestSimplify:
              "--out", str(tmp_path)]
         )
         assert code == 1
+
+    def test_negative_threshold(self, tmp_path, caplog):
+        model_path, data_path = ris_fixture(tmp_path)
+        code = main(
+            ["simplify", "--model", str(model_path), "--csv", str(data_path),
+             "--response", "Z", "--predictors", "B,C,D", "--threshold", "-1",
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert "threshold must be nonnegative" in caplog.text
+
+
+class TestMalformedModel:
+    def test_deeply_nested_document(self, tmp_path, caplog):
+        depth = 5000
+        tree = '{"op": "add", "children": [' * depth + '{"var": "A"}' + ', {"var": "A"}]}' * depth
+        model_path = tmp_path / "model.json"
+        model_path.write_text('{"variables": ["A"], "tree": ' + tree + "}", encoding="utf-8")
+        code = main(["ris", "--model", str(model_path), "--synth", "--out", str(tmp_path)])
+        assert code == 1
+        assert "nested too deeply" in caplog.text
+
+    def test_document_not_an_object(self, tmp_path, caplog):
+        model_path = tmp_path / "model.json"
+        model_path.write_text("[1, 2]", encoding="utf-8")
+        code = main(["ris", "--model", str(model_path), "--synth", "--out", str(tmp_path)])
+        assert code == 1
+        assert "must be an object" in caplog.text
+
+    def test_non_numeric_constant(self, tmp_path):
+        model_path = tmp_path / "model.json"
+        model_path.write_text('{"variables": [], "tree": {"const": "x"}}', encoding="utf-8")
+        code = main(["ris", "--model", str(model_path), "--synth", "--out", str(tmp_path)])
+        assert code == 1
+
+
+# sha256 of artifacts of one small fixed-seed fit and of the analyses of its
+# model. Any change to the random stream, the tree encoding, evaluation or the
+# artifact writers shows here; a deliberate change re-records these hashes.
+GOLDEN_SHA256 = {
+    "fit/model.json": "5677ff76c32b02560e42a94d44a9d3206af6268257e002e66b746499865bf99b",
+    "fit/history.csv": "1ce136542e410e5ac56c6197207aee7dbb6dfebd10fde57f64043fbe36a0349e",
+    "fit/best_tree.dot": "d1fbace90cec32b91439261fd0d7231a782a01ba9ec0398e3ee58f0a9aada71a",
+    "ris/impact_table.json": "5cb7cdc577ea8cbe220206fb5c8ec7de98c0bea5cd0e19d806da1c9c80f8930f",
+    "ris/impact_D_Q2.dot": "535bf86e5b34ea4135fdebb0392f0ce7712c328bbafb701dbf98ac7f99f5c3da",
+    "simp/simplified_model.json": "73b61d9df60a2bf391bd875a5f73e24af68b84b183a97e26dcaac35b06bb142c",
+    "simp/simplified_tree.dot": "465dcf53036b354acb24b5fe5547d73991739b9b38c155357df14c86b55cd62b",
+}
+
+
+def test_golden_artifacts(tmp_path):
+    cfg = tmp_path / "gp.json"
+    write_config(cfg, {"gp": {"population_size": 60, "generations": 5}})
+    data = ["--synth", "--n", "60", "--noise", "0.1", "--seed", "6"]
+    model = str(tmp_path / "fit" / "model.json")
+    assert main(["fit", *data, "--config", str(cfg), "--out", str(tmp_path / "fit")]) == 0
+    assert main(["ris", "--model", model, *data, "--out", str(tmp_path / "ris")]) == 0
+    assert main(
+        ["simplify", "--model", model, *data, "--threshold", "0.05", "--out", str(tmp_path / "simp")]
+    ) == 0
+    assert json.loads((tmp_path / "simp" / "simplified_model.json").read_text())["pruned_node_ids"]
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256
+    }
+    assert got == GOLDEN_SHA256

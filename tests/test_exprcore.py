@@ -8,11 +8,8 @@ from ecd.dataio import Dataset
 from ecd.errors import MalformedTree, MissingVariable, UnknownNodeId
 from ecd.exprcore import (
     DIV_EPSILON,
-    Constant,
     ExpressionTree,
-    Node,
     Operator,
-    VariableRef,
     const_node,
     dependency_set,
     depth,
@@ -72,34 +69,44 @@ class TestPdiv:
 class TestNodeValidation:
     def test_operator_arity_enforced(self):
         with pytest.raises(MalformedTree):
-            ExpressionTree(Node(Operator.ADD, (var_node("A"),)))
+            ExpressionTree(op_node(Operator.ADD, var_node("A")))
         with pytest.raises(MalformedTree):
-            ExpressionTree(Node(Operator.MUL, (var_node("A"), var_node("B"), var_node("C"))))
+            ExpressionTree(op_node(Operator.MUL, var_node("A"), var_node("B"), var_node("C")))
 
     def test_leaves_must_be_childless(self):
         with pytest.raises(MalformedTree):
-            ExpressionTree(Node(VariableRef("A"), (var_node("B"),)))
+            ExpressionTree(var_node("A") + var_node("B"))
         with pytest.raises(MalformedTree):
-            ExpressionTree(Node(Constant(1.0), (var_node("B"),)))
+            ExpressionTree(const_node(1.0) + var_node("B"))
 
     def test_empty_variable_name_rejected(self):
         with pytest.raises(MalformedTree):
             ExpressionTree(var_node(""))
 
     def test_bogus_payload_rejected(self):
+        for bogus in (None, 1, True, b"A", ("A",)):
+            with pytest.raises(MalformedTree):
+                ExpressionTree((Operator.ADD, "A", bogus))
+
+    def test_empty_token_sequence_rejected(self):
         with pytest.raises(MalformedTree):
-            ExpressionTree(Node("not a payload"))
+            ExpressionTree(())
+
+    def test_ends_and_depth(self):
+        tree = bcd_tree()
+        assert tree.ends == (5, 2, 5, 4, 5)
+        assert (tree.size, tree.depth) == (5, 2)
 
 
 class TestStructure:
     def test_preorder_ids(self):
         tree = bcd_tree()
-        payloads = [n.payload for n in tree.nodes]
-        assert payloads[0] is Operator.ADD
-        assert payloads[1] == VariableRef("B")
-        assert payloads[2] is Operator.PDIV
-        assert payloads[3] == VariableRef("C")
-        assert payloads[4] == VariableRef("D")
+        tokens = tree.tokens
+        assert tokens[0] is Operator.ADD
+        assert tokens[1] == "B"
+        assert tokens[2] is Operator.PDIV
+        assert tokens[3] == "C"
+        assert tokens[4] == "D"
 
     def test_size_and_depth(self):
         tree = bcd_tree()
@@ -118,25 +125,25 @@ class TestStructure:
 
     def test_node_lookup_bounds(self):
         tree = bcd_tree()
-        assert tree.node(4).payload == VariableRef("D")
+        assert subtree_at(tree, 4) == var_node("D")
         with pytest.raises(UnknownNodeId):
-            tree.node(5)
+            subtree_at(tree, 5)
         with pytest.raises(UnknownNodeId):
-            tree.node(-1)
+            subtree_at(tree, -1)
 
     def test_subtree_at_and_replace_at(self):
         tree = bcd_tree()
-        sub = subtree_at(tree.root, 2)
+        sub = subtree_at(tree, 2)
         assert ExpressionTree(sub).infix == "(C / D)"
-        swapped = replace_at(tree.root, 2, var_node("E"))
+        swapped = replace_at(tree, 2, var_node("E"))
         assert ExpressionTree(swapped).infix == "(B + E)"
-        # untouched branches are shared, not copied
-        assert swapped.children[0] is tree.root.children[0]
-        assert ExpressionTree(replace_at(tree.root, 0, const_node(9))).infix == "9"
+        # untouched branches keep their tokens and their node ids
+        assert swapped[:2] == tree.tokens[:2]
+        assert ExpressionTree(replace_at(tree, 0, const_node(9))).infix == "9"
         with pytest.raises(UnknownNodeId):
-            subtree_at(tree.root, 99)
+            subtree_at(tree, 99)
         with pytest.raises(UnknownNodeId):
-            replace_at(tree.root, 99, const_node(1))
+            replace_at(tree, 99, const_node(1))
 
 
 class TestEvaluate:
@@ -160,7 +167,7 @@ class TestEvaluate:
         for _ in range(300):
             tree = random_tree(rng)
             bindings = random_bindings(rng)
-            assert evaluate(tree, bindings) == naive_eval(tree.root, bindings)
+            assert evaluate(tree, bindings) == naive_eval(tree.tokens, bindings)
 
     def test_finite_for_finite_inputs(self, rng):
         for _ in range(200):
@@ -189,7 +196,7 @@ class TestEvaluateNodes:
             assert set(values) == set(range(tree.size))
             assert values[0] == evaluate(tree, bindings)
             for node_id in range(tree.size):
-                assert values[node_id] == naive_eval(subtree_at(tree.root, node_id), bindings)
+                assert values[node_id] == naive_eval(subtree_at(tree, node_id), bindings)
 
 
 class TestEvaluateBatch:
@@ -217,6 +224,26 @@ class TestEvaluateBatch:
             scalar = np.array([evaluate(tree, data.row_bindings(i)) for i in range(40)])
             assert np.array_equal(batch, scalar)
 
+    def test_constant_operands_match_scalar_path(self):
+        # constants enter the batch path as floats, alone or against a column,
+        # and every denominator that pdiv guards falls back to 1.0
+        data = Dataset({"A": [2.0, 0.0, -1e-7, float("nan"), 3.5]})
+        A, PDIV, MUL = var_node("A"), Operator.PDIV, Operator.MUL
+        trees = [
+            op_node(PDIV, A, const_node(0)),
+            op_node(PDIV, const_node(3), A),
+            op_node(PDIV, const_node(1), const_node(1e-7)),
+            op_node(MUL, const_node(2), const_node(-0.5)),
+            op_node(Operator.SUB, op_node(PDIV, const_node(6), const_node(4)), A),
+            op_node(PDIV, A, op_node(MUL, A, const_node(2))),
+        ]
+        for tokens in trees:
+            tree = ExpressionTree(tokens)
+            batch = evaluate_batch(tree, data)
+            scalar = np.array([evaluate(tree, data.row_bindings(i)) for i in range(5)])
+            assert batch.shape == (5,)
+            assert np.array_equal(batch, scalar, equal_nan=True), tree.infix
+
 
 class TestInfix:
     def test_reference_example(self):
@@ -232,7 +259,7 @@ class TestInfix:
     def test_deterministic(self, rng):
         for _ in range(50):
             tree = random_tree(rng)
-            assert tree.infix == to_infix(ExpressionTree(tree.root))
+            assert tree.infix == to_infix(ExpressionTree(tree.tokens))
 
 
 class TestJsonRoundTrip:
@@ -257,6 +284,20 @@ class TestJsonRoundTrip:
             tree_from_json([1, 2])
         with pytest.raises(MalformedTree):
             tree_from_json({"op": "add", "children": [{"var": "A"}]})
+
+    def test_non_numeric_constant_rejected(self):
+        for bad in ("x", None, [1.0]):
+            with pytest.raises(MalformedTree):
+                tree_from_json({"const": bad})
+
+    def test_extra_children_rejected(self):
+        # a third child must not be read as the operand of an enclosing operator
+        doc = {
+            "op": "add",
+            "children": [{"op": "mul", "children": [{"var": "A"}]}, {"var": "B"}, {"var": "C"}],
+        }
+        with pytest.raises(MalformedTree):
+            tree_from_json(doc)
 
 
 class TestToDot:
@@ -287,3 +328,26 @@ class TestToDot:
         tree = ExpressionTree(var_node("B"))
         dot = to_dot(tree, {0: 'say "hi"'})
         assert '\\"hi\\"' in dot
+
+
+class TestDeepTree:
+    DEPTH = 5000
+
+    def chain(self):
+        # (((A + B) + B) + ... + B), left-deep, DEPTH operators
+        return ExpressionTree((Operator.ADD,) * self.DEPTH + ("A",) + ("B",) * self.DEPTH)
+
+    def test_built_evaluated_and_rendered_without_recursion(self):
+        tree = self.chain()
+        assert (tree.size, tree.depth) == (2 * self.DEPTH + 1, self.DEPTH)
+        expected = 1.0 + 2.0 * self.DEPTH
+        assert evaluate(tree, {"A": 1.0, "B": 2.0}) == expected
+        values = evaluate_nodes(tree, {"A": 1.0, "B": 2.0})
+        assert values[0] == expected and values[self.DEPTH] == 1.0
+        data = Dataset({"A": [1.0, 0.0], "B": [2.0, 1.0]})
+        assert np.array_equal(evaluate_batch(tree, data), [expected, float(self.DEPTH)])
+        assert tree.infix.startswith("(" * self.DEPTH + "A + B)")
+        dot = to_dot(tree)
+        assert dot.count("->") == 2 * self.DEPTH
+        assert f"n{self.DEPTH} -> n{self.DEPTH - 1};" in dot
+        assert tree_from_json(tree_to_json(tree)) == tree

@@ -14,7 +14,6 @@ from ecd.errors import (
     MissingVariable,
 )
 from ecd.exprcore import (
-    Constant,
     ExpressionTree,
     Operator,
     const_node,
@@ -116,7 +115,7 @@ class TestInitPopulation:
         pop = init_population(cfg, {"A"}, _rng_streams(cfg)[0])
         assert len(pop) == 10
         for ind in pop:
-            assert 2 <= node_depth(ind.tree.root) <= 5
+            assert 2 <= node_depth(ind.tree.tokens) <= 5
             assert ind.fitness is None
 
     def test_deterministic(self):
@@ -129,17 +128,17 @@ class TestInitPopulation:
         cfg = GpConfig(population_size=12, init_depth_range=(1, 1), seed=3)
         pop = init_population(cfg, {"A"}, _rng_streams(cfg)[0])
         for ind in pop:
-            assert node_depth(ind.tree.root) == 1
+            assert node_depth(ind.tree.tokens) == 1
 
     def test_constants_within_range(self):
         cfg = GpConfig(population_size=60, constant_range=(-2.0, 2.0), seed=1)
         pop = init_population(cfg, {"A"}, _rng_streams(cfg)[0])
         seen = 0
         for ind in pop:
-            for node in ind.tree.nodes:
-                if isinstance(node.payload, Constant):
+            for token in ind.tree.tokens:
+                if isinstance(token, float):
                     seen += 1
-                    assert -2.0 <= node.payload.value <= 2.0
+                    assert -2.0 <= token <= 2.0
         assert seen > 0
 
     def test_needs_variables(self):

@@ -6,16 +6,16 @@ import pytest
 from conftest import VARS, naive_eval, random_bindings, random_tree
 
 from ecd.dataio import Dataset
-from ecd.errors import EmptyColumn, MissingVariable, NonFiniteBaseline
+from ecd.errors import EmptyColumn, InvalidConfig, MissingVariable, NonFiniteBaseline
 from ecd.exprcore import (
     ExpressionTree,
-    Node,
     Operator,
     const_node,
     dependency_set,
     evaluate,
     op_node,
     replace_at,
+    subtree_at,
     var_node,
 )
 from ecd.ris import (
@@ -92,7 +92,7 @@ class TestRis:
         base = BaselineSpec(BCD_BASE, "Q2")
         (report,) = ris(tree, base, [PerturbationSpec("D", Mode.RELATIVE, 0.05)])
         shifted = dict(BCD_BASE, D=5.0 * (1.0 + 0.05))
-        expected = naive_eval(tree.root, shifted) - naive_eval(tree.root, BCD_BASE)
+        expected = naive_eval(tree.tokens, shifted) - naive_eval(tree.tokens, BCD_BASE)
         assert report.impact == expected
         assert report.impact == pytest.approx((2 + 3 / 5.25) - 2.6)
         assert report.node_impacts[0].delta == report.impact
@@ -106,7 +106,7 @@ class TestRis:
         base = BaselineSpec(BCD_BASE, "Q2")
         (report,) = ris(tree, base, [PerturbationSpec("B", Mode.ABSOLUTE, 0.1)])
         shifted = dict(BCD_BASE, B=2.0 + 0.1)
-        assert report.impact == naive_eval(tree.root, shifted) - naive_eval(tree.root, BCD_BASE)
+        assert report.impact == naive_eval(tree.tokens, shifted) - naive_eval(tree.tokens, BCD_BASE)
         assert report.impact == pytest.approx(0.1)
 
     def test_multiple_perturbations_share_one_baseline(self):
@@ -158,7 +158,7 @@ class TestRis:
             magnitude = float(rng.uniform(-0.5, 0.5))
             spec = PerturbationSpec(name, mode, magnitude)
             values, _ = perturbed_values(BaselineSpec(bindings, "r"), spec)
-            expected = naive_eval(tree.root, values) - naive_eval(tree.root, bindings)
+            expected = naive_eval(tree.tokens, values) - naive_eval(tree.tokens, bindings)
             (report,) = ris(tree, BaselineSpec(bindings, "r"), [spec])
             assert report.impact == expected
             assert report.node_impacts[0].delta == report.impact
@@ -172,7 +172,7 @@ class TestRis:
             spec = PerturbationSpec(name, Mode.RELATIVE, 0.05)
             (report,) = ris(tree, BaselineSpec(bindings, "r"), [spec])
             for node_id, ni in report.node_impacts.items():
-                sub = ExpressionTree(tree.node(node_id))
+                sub = ExpressionTree(subtree_at(tree, node_id))
                 if name not in dependency_set(sub):
                     assert ni.delta == 0.0
 
@@ -289,8 +289,8 @@ class TestCounterfactual:
         tree = bcd_tree()
         scenario = BaselineSpec(BCD_BASE, "scenario")
         report = counterfactual(tree, scenario, PerturbationSpec("D", Mode.SET_TO, 6.0))
-        expected = naive_eval(tree.root, dict(BCD_BASE, D=6.0)) - naive_eval(
-            tree.root, BCD_BASE
+        expected = naive_eval(tree.tokens, dict(BCD_BASE, D=6.0)) - naive_eval(
+            tree.tokens, BCD_BASE
         )
         assert report.impact == expected
         assert report.impact == pytest.approx(-0.1)
@@ -355,9 +355,9 @@ class TestSimplifyByImpact:
             inert = op_node(Operator.MUL, const_node(0.0), var_node(VARS[0]))
             victim = int(rng.integers(0, base.size))
             tree = ExpressionTree(
-                Node(Operator.ADD, (base.root, inert))
+                op_node(Operator.ADD, base.tokens, inert)
                 if victim == 0
-                else replace_at(base.root, victim, inert)
+                else replace_at(base, victim, inert)
             )
             cols = {name: rng.uniform(0.5, 9.5, 30) for name in VARS}
             data = Dataset(cols)
@@ -371,7 +371,7 @@ class TestSimplifyByImpact:
                 assert diff <= threshold
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             simplify_by_impact(bcd_tree(), bcd_data(), ["B", "C", "D"], threshold=-1.0)
 
 
