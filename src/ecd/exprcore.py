@@ -32,12 +32,9 @@ def pdiv(x: float, y: float) -> float:
     return 1.0
 
 
-def _pdiv_vec(x, y):
-    """pdiv over arrays, or over an array and a float, element by element."""
-    if isinstance(y, float):
-        return x / y if abs(y) >= DIV_EPSILON else 1.0
-    out = np.divide(x, y)
-    out[~(np.abs(y) >= DIV_EPSILON)] = 1.0  # NaN denominators too, as in pdiv
+def _pdiv_vec(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = np.ones_like(y)
+    np.divide(x, y, out=out, where=np.abs(y) >= DIV_EPSILON)
     return out
 
 
@@ -53,9 +50,6 @@ class Operator(enum.Enum):
     # consistent with equality; it runs in C, where Enum's hashes the name in
     # Python, and token tuples are hashed for every fitness-cache lookup.
     __hash__ = object.__hash__
-
-    def apply_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return _VECTOR_FUNCS[self](a, b)
 
 
 _SYMBOLS = {
@@ -268,11 +262,10 @@ def evaluate_batch(tree: ExpressionTree, data) -> np.ndarray:
     """Row-wise evaluation over a dataset; element i equals evaluate on row i.
 
     A stack machine over the tokens in reverse, one vector operation per
-    operator. Constants stay floats, so constant subtrees fold to floats, and
-    an operation on a float and a column broadcasts. float64 arithmetic makes
-    the result bit-identical to the scalar path.
+    operator. float64 arithmetic makes the result bit-identical to the scalar
+    path.
     """
-    columns = data.columns
+    columns, n_rows = data.columns, data.n_rows
     stack: list = []
     with np.errstate(all="ignore"):
         for token in reversed(tree.tokens):
@@ -285,9 +278,7 @@ def evaluate_batch(tree: ExpressionTree, data) -> np.ndarray:
                 except KeyError:
                     raise MissingVariable(token) from None
             else:
-                stack.append(token)
-    if isinstance(stack[0], float):
-        return np.full(data.n_rows, stack[0])
+                stack.append(np.full(n_rows, token))
     return stack[0]
 
 

@@ -240,17 +240,15 @@ def select(
     population: Sequence[Individual],
     tournament_size: int,
     rng: np.random.Generator,
-    ranks: Sequence[int] | None = None,
 ) -> Individual:
     """Tournament of uniformly sampled entrants, with replacement. Ties fall to
-    smaller trees, then to the earlier population index. ranks[i], if given,
-    is the position of population[i] in that (fitness, size, index) order."""
+    smaller trees, then to the earlier population index."""
     if not population:
         raise EmptyPopulation("cannot select from an empty population")
     entrants = rng.integers(0, len(population), size=tournament_size).tolist()
-    if ranks is None:
-        ranks = {i: (population[i].fitness, population[i].tree.size, i) for i in entrants}
-    return population[min(entrants, key=ranks.__getitem__)]
+    return population[
+        min(entrants, key=lambda i: (population[i].fitness, population[i].tree.size, i))
+    ]
 
 
 def crossover(
@@ -398,15 +396,12 @@ def evolve(data: Dataset, response: str, config: GpConfig) -> FitResult:
             break
 
         rng = streams[generation + 1]
-        ranks = [0] * len(order)
-        for rank, i in enumerate(order):
-            ranks[i] = rank
         offspring: list[Individual] = [population[i] for i in order[: config.elitism_count]]
         while len(offspring) < config.population_size:
-            parent = select(population, config.tournament_size, rng, ranks)
+            parent = select(population, config.tournament_size, rng)
             tree = parent.tree
             if rng.random() < config.crossover_prob:
-                mate = select(population, config.tournament_size, rng, ranks)
+                mate = select(population, config.tournament_size, rng)
                 tree, _ = crossover(tree, mate.tree, config.max_depth, rng)
             if rng.random() < config.mutation_prob:
                 tree = mutate(tree, variables, config, rng)
