@@ -1,7 +1,7 @@
 """Evolutionary causal discovery: genetic-programming symbolic regression
 plus perturbation-based impact analysis over the fitted expression tree."""
 
-from .dataio import Dataset, RoleConfig, filter_rows, load_csv, summarize
+from .dataio import Dataset, RoleConfig, filter_rows, load_csv
 from .errors import (
     EcdError,
     EmptyAfterFiltering,
@@ -29,7 +29,6 @@ from .exprcore import (
     op_node,
     pdiv,
     to_dot,
-    to_infix,
     tree_from_json,
     tree_to_json,
     var_node,

@@ -27,6 +27,7 @@ log = logging.getLogger("ecd")
 class RunConfig:
     """Everything one command invocation needs, after merging file and flags."""
 
+    file: dict  # the --config document, {} without one
     source: dict | None
     gp: gpsr.GpConfig
     ris_mode: ris.Mode
@@ -41,21 +42,34 @@ def _load_config_file(path: str) -> dict:
         doc = json.load(handle)
     if not isinstance(doc, dict):
         raise InvalidConfig("config file must contain a JSON object")
+    for key in ("data", "synth", "gp", "ris", "scenario", "intervention"):
+        if doc.get(key) is not None and not isinstance(doc[key], dict):
+            raise InvalidConfig(f"config section {key!r} must be an object")
     return doc
 
 
+def _typed(value, default, what: str):
+    """value if it is a JSON value of default's kind: an int for an int, any
+    number for a float, a list of as many such values for a tuple."""
+    if isinstance(default, tuple):
+        if not isinstance(value, list) or len(value) != len(default):
+            raise InvalidConfig(f"{what} must be a list of {len(default)}, got {value!r}")
+        return tuple(_typed(v, d, what) for v, d in zip(value, default))
+    kinds = int if isinstance(default, int) else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise InvalidConfig(f"{what} must be a number, got {value!r}")
+    return value
+
+
 def _gp_config(cfg: dict, seed: int | None) -> gpsr.GpConfig:
-    section = dict(cfg.get("gp", {}))
+    section = dict(cfg.get("gp") or {})
     preset_name = section.pop("preset", None)
-    base = gpsr.preset(preset_name) if preset_name else gpsr.GpConfig()
-    known = {f for f in base.__dataclass_fields__}
-    unknown = set(section) - known
+    base = gpsr.preset(str(preset_name)) if preset_name else gpsr.GpConfig()
+    unknown = set(section) - set(base.__dataclass_fields__)
     if unknown:
         raise InvalidConfig(f"unknown gp config fields: {', '.join(sorted(unknown))}")
-    if "init_depth_range" in section:
-        section["init_depth_range"] = tuple(section["init_depth_range"])
-    if "constant_range" in section:
-        section["constant_range"] = tuple(section["constant_range"])
+    for name, value in section.items():
+        section[name] = _typed(value, getattr(base, name), f"gp.{name}")
     config = replace(base, **section) if section else base
     if seed is not None:
         config = replace(config, seed=seed)
@@ -67,29 +81,25 @@ def _run_config(args) -> RunConfig:
     cfg = _load_config_file(args.config) if args.config else {}
 
     seed = args.seed if args.seed is not None else cfg.get("seed")
+    if seed is not None:
+        _typed(seed, 0, "seed")
 
-    data_cfg = cfg.get("data")
-    synth_cfg = cfg.get("synth")
-    if getattr(args, "csv", None):
-        data_cfg = dict(data_cfg or {})
-        data_cfg["csv"] = args.csv
+    # Flags override the file's data or synth section; --csv picks the CSV
+    # source and --synth the synthetic one.
+    data_cfg, synth_cfg = cfg.get("data"), cfg.get("synth")
+    data_flags = {key: getattr(args, key, None) for key in ("csv", "response", "predictors")}
+    data_flags = {key: value for key, value in data_flags.items() if value}
+    if "predictors" in data_flags:
+        data_flags["predictors"] = [p.strip() for p in args.predictors.split(",") if p.strip()]
+    if data_flags:
+        data_cfg = {**(data_cfg or {}), **data_flags}
+    if "csv" in data_flags:
         synth_cfg = None
-    if getattr(args, "response", None):
-        data_cfg = dict(data_cfg or {})
-        data_cfg["response"] = args.response
-    if getattr(args, "predictors", None):
-        data_cfg = dict(data_cfg or {})
-        data_cfg["predictors"] = [p.strip() for p in args.predictors.split(",") if p.strip()]
     if getattr(args, "synth", False):
-        synth_cfg = dict(synth_cfg or {})
-        data_cfg = None
+        synth_cfg, data_cfg = synth_cfg or {}, None
     if synth_cfg is not None:
-        if getattr(args, "n", None) is not None:
-            synth_cfg = dict(synth_cfg)
-            synth_cfg["n"] = args.n
-        if getattr(args, "noise", None) is not None:
-            synth_cfg = dict(synth_cfg)
-            synth_cfg["noise_percent"] = args.noise
+        synth_flags = {"n": getattr(args, "n", None), "noise_percent": getattr(args, "noise", None)}
+        synth_cfg = {**synth_cfg, **{k: v for k, v in synth_flags.items() if v is not None}}
 
     source: dict | None = None
     if data_cfg is not None and synth_cfg is not None:
@@ -101,7 +111,7 @@ def _run_config(args) -> RunConfig:
 
     gp = _gp_config(cfg, seed)
 
-    ris_cfg = dict(cfg.get("ris", {}))
+    ris_cfg = cfg.get("ris") or {}
     mode_name = getattr(args, "mode", None) or ris_cfg.get("mode", ris.Mode.RELATIVE.value)
     try:
         mode = ris.Mode(mode_name)
@@ -117,11 +127,12 @@ def _run_config(args) -> RunConfig:
     out_dir = Path(args.out if args.out else cfg.get("out", "."))
 
     return RunConfig(
+        file=cfg,
         source=source,
         gp=gp,
         ris_mode=mode,
-        ris_magnitude=float(magnitude),
-        ris_threshold=float(threshold),
+        ris_magnitude=float(_typed(magnitude, 0.0, "ris.magnitude")),
+        ris_threshold=float(_typed(threshold, 0.0, "ris.threshold")),
         out_dir=out_dir,
         seed=seed,
     )
@@ -129,9 +140,9 @@ def _run_config(args) -> RunConfig:
 
 def _synth_config(source: dict, seed: int | None) -> synthbench.SynthConfig:
     config = synthbench.SynthConfig(
-        n=int(source.get("n", 500)),
-        seed=int(source.get("seed", seed if seed is not None else 0)),
-        noise_percent=float(source.get("noise_percent", 0.0)),
+        n=_typed(source.get("n", 500), 0, "synth.n"),
+        seed=_typed(source.get("seed", seed if seed is not None else 0), 0, "synth.seed"),
+        noise_percent=float(_typed(source.get("noise_percent", 0.0), 0.0, "synth.noise_percent")),
     )
     if seed is not None:
         config = replace(config, seed=seed)
@@ -156,7 +167,6 @@ def _resolve_dataset(run: RunConfig) -> tuple[dataio.Dataset, str, list[str]]:
     roles = dataio.RoleConfig(
         response=str(source["response"]),
         predictors=tuple(source["predictors"]),
-        categorical_codings=source.get("categorical_codings", {}),
     )
     data = dataio.load_csv(
         source["csv"], roles, source.get("missing_policy", "drop_row")
@@ -179,7 +189,11 @@ def _load_model(path: str) -> tuple[ExpressionTree, tuple[str, ...]]:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True)
+    except RecursionError:
+        raise MalformedTree(f"{path.name}: the tree is nested too deeply to write") from None
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _parse_assignments(pairs: Sequence[str], what: str) -> dict[str, float]:
@@ -292,20 +306,21 @@ def cmd_counterfactual(args) -> int:
     run = _run_config(args)
     tree, variables = _load_model(args.model)
 
-    cfg = _load_config_file(args.config) if args.config else {}
-    scenario_values = dict(cfg.get("scenario", {}))
+    cfg = run.file
+    scenario_values = {
+        name: float(_typed(value, 0.0, f"scenario value of {name!r}"))
+        for name, value in (cfg.get("scenario") or {}).items()
+    }
     scenario_values.update(_parse_assignments(args.at or [], "--at"))
     if not scenario_values:
         raise InvalidConfig("counterfactual needs a scenario (--at NAME=VALUE or config)")
-    scenario = ris.BaselineSpec(
-        {k: float(v) for k, v in scenario_values.items()}, label="scenario"
-    )
+    scenario = ris.BaselineSpec(scenario_values, label="scenario")
 
     if args.set:
         assignments = _parse_assignments([args.set], "--set")
         variable, new_value = next(iter(assignments.items()))
         intervention = ris.PerturbationSpec(variable, ris.Mode.SET_TO, new_value)
-    elif "intervention" in cfg:
+    elif cfg.get("intervention") is not None:
         section = cfg["intervention"]
         try:
             mode = ris.Mode(section.get("mode", ris.Mode.SET_TO.value))
@@ -320,13 +335,8 @@ def cmd_counterfactual(args) -> int:
 
     report = ris.counterfactual(tree, scenario, intervention)
 
-    internal = [
-        (node_id, ni)
-        for node_id, ni in report.node_impacts.items()
-        if isinstance(tree.tokens[node_id], Operator)
-    ]
-    internal.sort(key=lambda item: (-abs(item[1].delta), item[0]))
-    top = internal[:2]
+    internal = [i for i, token in enumerate(tree.tokens) if isinstance(token, Operator)]
+    top = sorted(internal, key=lambda i: (-abs(report.node_impacts[i].delta), i))[:2]
 
     lines = [
         "scenario: " + ", ".join(f"{k}={v:g}" for k, v in sorted(scenario.values.items())),
@@ -339,7 +349,8 @@ def cmd_counterfactual(args) -> int:
         lines.extend(f"note: {note}" for note in report.notes)
     if top:
         lines.append("most changed internal nodes:")
-        for node_id, ni in top:
+        for node_id in top:
+            ni = report.node_impacts[node_id]
             lines.append(
                 f"  node {node_id} {_describe_node(tree, node_id)}: "
                 f"{ni.baseline_value:.3f} -> {ni.perturbed_value:.3f} ({ris.format_impact(ni.delta)})"

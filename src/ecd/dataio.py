@@ -1,8 +1,7 @@
 """Tabular data ingestion and preparation.
 
-Everything is parsed as float64, ordinal codes included; categorical codings
-are carried as labeling metadata only. Datasets are immutable after load and
-safe to share across threads.
+Everything is parsed as float64, ordinal and categorical codes included.
+Datasets are immutable after load and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -10,20 +9,20 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     EmptyAfterFiltering,
-    EmptyColumn,
     EmptyDataset,
     InvalidConfig,
     InvalidPredicate,
     MissingColumn,
     ParseError,
 )
+from .exprcore import format_constant
 
 log = logging.getLogger(__name__)
 
@@ -67,28 +66,13 @@ class Dataset:
         except KeyError:
             raise MissingColumn(name) from None
 
-    def row_bindings(self, index: int) -> dict[str, float]:
-        """A single row as {name: value}, for scalar evaluation."""
-        return {name: float(col[index]) for name, col in self.columns.items()}
-
-    def take(self, mask: np.ndarray) -> "Dataset":
-        return Dataset({name: col[mask] for name, col in self.columns.items()})
-
     def to_csv(self, path) -> None:
         """Write all columns; floats rendered via repr so reloads round-trip."""
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(self.names)
-            cols = [self.columns[name] for name in self.names]
-            for i in range(self.n_rows):
-                writer.writerow([_format_cell(col[i]) for col in cols])
-
-
-def _format_cell(value: float) -> str:
-    value = float(value)
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
+            for row in zip(*(col.tolist() for col in self.columns.values())):
+                writer.writerow([format_constant(value) for value in row])
 
 
 @dataclass(frozen=True)
@@ -97,9 +81,6 @@ class RoleConfig:
 
     response: str
     predictors: tuple[str, ...]
-    categorical_codings: Mapping[str, Sequence[tuple[float, str]]] = field(
-        default_factory=dict
-    )
 
     def __post_init__(self):
         object.__setattr__(self, "predictors", tuple(self.predictors))
@@ -115,11 +96,6 @@ class RoleConfig:
     @property
     def selected(self) -> tuple[str, ...]:
         return self.predictors + (self.response,)
-
-    def validate_against(self, data: Dataset) -> None:
-        for name in self.selected:
-            if name not in data.columns:
-                raise MissingColumn(name)
 
 
 def load_csv(path, role_config: RoleConfig, missing_policy: str = "drop_row") -> Dataset:
@@ -184,35 +160,6 @@ def load_csv(path, role_config: RoleConfig, missing_policy: str = "drop_row") ->
     return Dataset({name: matrix[:, i] for i, name in enumerate(wanted)})
 
 
-def summarize(data: Dataset, names: Iterable[str] | None = None) -> dict[str, dict[str, float]]:
-    """Per-column min/max/mean/sd/quartiles/n.
-
-    Quartiles use linear interpolation, matching the perturbation-analysis
-    baselines. sd is the sample standard deviation; a single observation
-    yields 0.0.
-    """
-    if names is None:
-        names = data.names
-    out: dict[str, dict[str, float]] = {}
-    for name in names:
-        col = data.column(name)
-        if col.shape[0] == 0:
-            raise EmptyColumn(name)
-        q1, q2, q3 = np.percentile(col, [25.0, 50.0, 75.0])
-        sd = float(np.std(col, ddof=1)) if col.shape[0] > 1 else 0.0
-        out[name] = {
-            "min": float(np.min(col)),
-            "max": float(np.max(col)),
-            "mean": float(np.mean(col)),
-            "sd": sd,
-            "Q1": float(q1),
-            "Q2": float(q2),
-            "Q3": float(q3),
-            "n": int(col.shape[0]),
-        }
-    return out
-
-
 _COMPARATORS = {
     "==": lambda col, v: col == v,
     "<=": lambda col, v: col <= v,
@@ -227,6 +174,8 @@ def filter_rows(data: Dataset, predicate_spec: Sequence) -> Dataset:
     range takes [lo, hi] and keeps lo <= value <= hi. An empty spec keeps
     everything.
     """
+    if not isinstance(predicate_spec, (list, tuple)):
+        raise InvalidPredicate(f"a filter is a list of clauses, got {predicate_spec!r}")
     mask = np.ones(data.n_rows, dtype=bool)
     for clause in predicate_spec:
         try:
@@ -234,14 +183,11 @@ def filter_rows(data: Dataset, predicate_spec: Sequence) -> Dataset:
         except (TypeError, ValueError):
             raise InvalidPredicate(f"clause must be [name, op, value]: {clause!r}") from None
         col = data.column(str(name))
-        if op == "range":
-            try:
-                lo, hi = value
-            except (TypeError, ValueError):
-                raise InvalidPredicate(f"range needs [lo, hi]: {value!r}") from None
-            mask &= (col >= float(lo)) & (col <= float(hi))
-        elif op in _COMPARATORS:
-            mask &= _COMPARATORS[op](col, float(value))
-        else:
+        if op not in ("range", *_COMPARATORS):
             raise InvalidPredicate(f"unknown comparison {op!r}")
-    return data.take(mask)
+        try:
+            lo, hi = map(float, value) if op == "range" else (float(value),) * 2
+        except (TypeError, ValueError):
+            raise InvalidPredicate(f"{op} needs a number, or [lo, hi] for range: {clause!r}") from None
+        mask &= (col >= lo) & (col <= hi) if op == "range" else _COMPARATORS[op](col, lo)
+    return Dataset({name: col[mask] for name, col in data.columns.items()})

@@ -13,9 +13,8 @@ memory.
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -25,14 +24,8 @@ from .errors import MalformedTree, MissingVariable, UnknownNodeId
 DIV_EPSILON = 1e-6
 
 
-def pdiv(x: float, y: float) -> float:
-    """Protected division: total over the reals, 1.0 when the denominator is near zero."""
-    if abs(y) >= DIV_EPSILON:
-        return x / y
-    return 1.0
-
-
-def _pdiv_vec(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def pdiv(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Protected division: total over the reals, 1.0 where the denominator is near zero."""
     out = np.ones_like(y)
     np.divide(x, y, out=out, where=np.abs(y) >= DIV_EPSILON)
     return out
@@ -59,18 +52,11 @@ _SYMBOLS = {
     Operator.PDIV: "/",
 }
 
-_SCALAR_FUNCS = {
-    Operator.ADD: operator.add,
-    Operator.SUB: operator.sub,
-    Operator.MUL: operator.mul,
-    Operator.PDIV: pdiv,
-}
-
 _VECTOR_FUNCS = {
     Operator.ADD: np.add,
     Operator.SUB: np.subtract,
     Operator.MUL: np.multiply,
-    Operator.PDIV: _pdiv_vec,
+    Operator.PDIV: pdiv,
 }
 
 OPERATORS: tuple[Operator, ...] = tuple(Operator)
@@ -81,6 +67,7 @@ Token = Union[Operator, str, float]
 Tokens = tuple  # tuple[Token, ...] in preorder
 
 Bindings = Mapping[str, float]
+Scenarios = Mapping[str, Sequence[float]]  # variable -> its value in each scenario
 
 
 def var_node(name: str) -> Tokens:
@@ -174,9 +161,6 @@ class ExpressionTree:
                 stack.append(format_constant(token))
         return stack[0]
 
-    def __str__(self) -> str:
-        return self.infix
-
 
 def node_depth(tokens: Tokens) -> int:
     """Longest root-to-leaf path, counted in edges, of the tree that a valid
@@ -209,61 +193,50 @@ def replace_at(tree: ExpressionTree, index: int, replacement: Tokens) -> Tokens:
     return tokens[:index] + replacement + tokens[tree.ends[index] :]
 
 
-def to_infix(tree: ExpressionTree) -> str:
-    """Fully parenthesized, deterministic infix rendering."""
-    return tree.infix
-
-
-def size(tree: ExpressionTree) -> int:
-    return tree.size
-
-
-def depth(tree: ExpressionTree) -> int:
-    return tree.depth
-
-
 def dependency_set(tree: ExpressionTree) -> set[str]:
     """Names of all variables referenced anywhere in the tree."""
     return {token for token in tree.tokens if isinstance(token, str)}
 
 
-def _node_values(tree: ExpressionTree, bindings: Bindings) -> list[float]:
+def evaluate_nodes(tree: ExpressionTree, scenarios: Scenarios) -> np.ndarray:
+    """Value of every node in every scenario, as a (size x m) float64 array.
+
+    scenarios maps each variable to a vector of its m values, one per
+    scenario; row i holds node i's values, so row 0 is the output. One pass
+    from the last node back, so both operands of an operator are done before
+    it; float64 arithmetic gives the same bits as evaluating each scenario
+    alone.
+    """
+    m = len(next(iter(scenarios.values()), (0.0,)))
     tokens, ends = tree.tokens, tree.ends
-    values = [0.0] * len(tokens)
-    for i in range(len(tokens) - 1, -1, -1):
-        token = tokens[i]
-        if isinstance(token, Operator):
-            values[i] = _SCALAR_FUNCS[token](values[i + 1], values[ends[i + 1]])
-        elif isinstance(token, str):
-            try:
-                values[i] = float(bindings[token])
-            except KeyError:
-                raise MissingVariable(token) from None
-        else:
-            values[i] = token
+    values = np.empty((len(tokens), m))
+    with np.errstate(all="ignore"):
+        for i in range(len(tokens) - 1, -1, -1):
+            token = tokens[i]
+            if token.__class__ is Operator:
+                values[i] = _VECTOR_FUNCS[token](values[i + 1], values[ends[i + 1]])
+            elif token.__class__ is str:
+                try:
+                    values[i] = scenarios[token]
+                except KeyError:
+                    raise MissingVariable(token) from None
+            else:
+                values[i] = token
     return values
 
 
 def evaluate(tree: ExpressionTree, bindings: Bindings) -> float:
     """Value at the root under the given variable bindings."""
-    return _node_values(tree, bindings)[0]
-
-
-def evaluate_nodes(tree: ExpressionTree, bindings: Bindings) -> dict[int, float]:
-    """Stabilized value of every node, keyed by node id.
-
-    One bottom-up pass; on an acyclic structure this is already the fixpoint,
-    and the root entry equals evaluate(tree, bindings) exactly.
-    """
-    return dict(enumerate(_node_values(tree, bindings)))
+    scenario = {name: (value,) for name, value in bindings.items()}
+    return float(evaluate_nodes(tree, scenario)[0, 0])
 
 
 def evaluate_batch(tree: ExpressionTree, data) -> np.ndarray:
-    """Row-wise evaluation over a dataset; element i equals evaluate on row i.
+    """Row-wise output over a dataset; element i equals evaluate on row i.
 
     A stack machine over the tokens in reverse, one vector operation per
-    operator. float64 arithmetic makes the result bit-identical to the scalar
-    path.
+    operator. It keeps at most depth + 1 columns alive, where evaluate_nodes
+    would hold one per node.
     """
     columns, n_rows = data.columns, data.n_rows
     stack: list = []

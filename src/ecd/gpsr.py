@@ -454,10 +454,17 @@ def model_from_document(doc: dict) -> tuple[ExpressionTree, tuple[str, ...]]:
     """Load (tree, variables) back from a model document.
 
     The tree may reference only declared variables; anything else means the
-    document was hand-edited or truncated.
+    document was hand-edited or truncated. schema_version and operators may
+    be absent, but when present must match what this version writes.
     """
     if not isinstance(doc, dict):
         raise MalformedTree(f"model document must be an object, got {type(doc).__name__}")
+    version, operators = doc.get("schema_version", MODEL_SCHEMA_VERSION), doc.get("operators", [])
+    if version != MODEL_SCHEMA_VERSION:
+        raise MalformedTree(f"model schema_version {version!r} is not {MODEL_SCHEMA_VERSION}")
+    known = [op.value for op in OPERATORS]
+    if not isinstance(operators, list) or not all(op in known for op in operators):
+        raise MalformedTree(f"model operators {operators!r} are not all of {known}")
     try:
         tree = tree_from_json(doc["tree"])
         variables = tuple(str(v) for v in doc["variables"])

@@ -118,12 +118,6 @@ def format_baseline(value: float) -> str:
     return f"{value:.1f}"
 
 
-def _check_finite(baseline: BaselineSpec) -> None:
-    for name, value in baseline.values.items():
-        if not math.isfinite(value):
-            raise NonFiniteBaseline(name, value)
-
-
 def perturbed_values(
     baseline: BaselineSpec, perturbation: PerturbationSpec
 ) -> tuple[dict[str, float], tuple[str, ...]]:
@@ -153,6 +147,27 @@ def perturbed_values(
     return values, notes
 
 
+def _scenario_nodes(
+    tree: ExpressionTree,
+    baseline: BaselineSpec,
+    perturbations: Sequence[PerturbationSpec],
+) -> tuple[np.ndarray, list[tuple[str, ...]]]:
+    """Node values of the baseline and of each perturbed copy of it, in one
+    evaluation: column 0 is the baseline, column k + 1 perturbation k. Also
+    returns each perturbation's notes."""
+    for name, value in baseline.values.items():
+        if not math.isfinite(value):
+            raise NonFiniteBaseline(name, value)
+    scenarios = [baseline.values]
+    notes = []
+    for perturbation in perturbations:
+        values, note = perturbed_values(baseline, perturbation)
+        scenarios.append(values)
+        notes.append(note)
+    columns = {name: [values[name] for values in scenarios] for name in baseline.values}
+    return evaluate_nodes(tree, columns), notes
+
+
 def ris(
     tree: ExpressionTree,
     baseline: BaselineSpec,
@@ -164,35 +179,26 @@ def ris(
     report (impact 0) with unused_variable set, so sweeps over a fixed
     predictor list stay total.
     """
-    _check_finite(baseline)
-    base_nodes = evaluate_nodes(tree, baseline.values)
+    nodes, notes = _scenario_nodes(tree, baseline, perturbations)
+    columns = nodes.T.tolist()
+    base = columns[0]
     deps = dependency_set(tree)
-
-    reports = []
-    for perturbation in perturbations:
-        values, notes = perturbed_values(baseline, perturbation)
-        pert_nodes = evaluate_nodes(tree, values)
-        node_impacts = {
-            node_id: NodeImpact(
-                baseline_value=base_nodes[node_id],
-                perturbed_value=pert_nodes[node_id],
-                delta=pert_nodes[node_id] - base_nodes[node_id],
-            )
-            for node_id in base_nodes
-        }
-        reports.append(
-            ImpactReport(
-                variable=perturbation.variable,
-                baseline_label=baseline.label,
-                baseline_output=base_nodes[0],
-                perturbed_output=pert_nodes[0],
-                impact=pert_nodes[0] - base_nodes[0],
-                node_impacts=node_impacts,
-                unused_variable=perturbation.variable not in deps,
-                notes=notes,
-            )
+    return [
+        ImpactReport(
+            variable=perturbation.variable,
+            baseline_label=baseline.label,
+            baseline_output=base[0],
+            perturbed_output=pert[0],
+            impact=pert[0] - base[0],
+            node_impacts={
+                node_id: NodeImpact(b, p, p - b)
+                for node_id, (b, p) in enumerate(zip(base, pert))
+            },
+            unused_variable=perturbation.variable not in deps,
+            notes=note,
         )
-    return reports
+        for perturbation, pert, note in zip(perturbations, columns[1:], notes)
+    ]
 
 
 def quartile_baselines(
@@ -227,27 +233,20 @@ class QuartileImpactTable:
     )
 
     def to_text(self) -> str:
-        name_width = max(
-            [len("Variable"), len("Baseline")] + [len(name) for name, _ in self.rows]
-        )
-        header = f"{'Variable':<{name_width}}"
-        for label in QUARTILE_LABELS:
-            header += f"  {label:>8}"
+        width = max(len(name) for name in ("Variable", "Baseline", *(name for name, _ in self.rows)))
+
+        def line(label: str, cells) -> str:
+            return f"{label:<{width}}" + "".join(f"  {cell:>8}" for cell in cells)
+
+        header = line("Variable", QUARTILE_LABELS)
+        rule = "-" * len(header)
         lines = [
             f"Impact at quartiles ({self.mode.value} perturbation, magnitude {self.magnitude:g})",
             header,
-            "-" * len(header),
+            rule,
         ]
-        for name, impacts in self.rows:
-            line = f"{name:<{name_width}}"
-            for value in impacts:
-                line += f"  {format_impact(value):>8}"
-            lines.append(line)
-        lines.append("-" * len(header))
-        base = f"{'Baseline':<{name_width}}"
-        for value in self.baselines:
-            base += f"  {format_baseline(value):>8}"
-        lines.append(base)
+        lines += [line(name, map(format_impact, impacts)) for name, impacts in self.rows]
+        lines += [rule, line("Baseline", map(format_baseline, self.baselines))]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
@@ -268,23 +267,20 @@ def quartile_impact_table(
     perturbation_mode: Mode = Mode.RELATIVE,
     magnitude: float = DEFAULT_MAGNITUDE,
 ) -> QuartileImpactTable:
-    """One ris run per (predictor, quartile), others held at the co-quartile
-    baseline. Full-precision impacts; formatting happens in to_text."""
-    baselines = quartile_baselines(data, predictors)
-    rows = []
-    reports: dict[str, tuple[ImpactReport, ...]] = {}
-    for name in predictors:
-        spec = PerturbationSpec(name, perturbation_mode, magnitude)
-        cells = tuple(ris(tree, baseline, [spec])[0] for baseline in baselines)
-        reports[name] = cells
-        rows.append((name, tuple(cell.impact for cell in cells)))
-    outputs = tuple(evaluate(tree, baseline.values) for baseline in baselines)
+    """One ris run per quartile baseline, perturbing each predictor in turn
+    while the others stay at that quartile. Full-precision impacts;
+    formatting happens in to_text."""
+    if not predictors:
+        raise InvalidConfig("an impact table needs at least one predictor")
+    specs = [PerturbationSpec(name, perturbation_mode, magnitude) for name in predictors]
+    per_quartile = [ris(tree, baseline, specs) for baseline in quartile_baselines(data, predictors)]
+    cells = list(zip(predictors, zip(*per_quartile)))
     return QuartileImpactTable(
-        rows=tuple(rows),
-        baselines=outputs,
+        rows=tuple((name, tuple(report.impact for report in row)) for name, row in cells),
+        baselines=tuple(reports[0].baseline_output for reports in per_quartile),
         mode=perturbation_mode,
         magnitude=magnitude,
-        reports=reports,
+        reports=dict(cells),
     )
 
 
@@ -314,17 +310,11 @@ def simplify_by_impact(
     if not threshold >= 0:
         raise InvalidConfig(f"threshold must be nonnegative, got {threshold!r}")
     baselines = quartile_baselines(data, predictors)
-
-    max_delta = {node_id: 0.0 for node_id in range(tree.size)}
-    for baseline in baselines:
-        specs = [
-            PerturbationSpec(name, Mode.RELATIVE, magnitude) for name in predictors
-        ]
-        for report in ris(tree, baseline, specs):
-            for node_id, ni in report.node_impacts.items():
-                delta = abs(ni.delta)
-                if delta > max_delta[node_id]:
-                    max_delta[node_id] = delta
+    specs = [PerturbationSpec(name, Mode.RELATIVE, magnitude) for name in predictors]
+    per_quartile = [_scenario_nodes(tree, baseline, specs)[0] for baseline in baselines]
+    # Every node's largest |delta| over all cells; fmax skips NaN deltas.
+    deltas = np.hstack([np.abs(nodes[:, 1:] - nodes[:, :1]) for nodes in per_quartile])
+    max_delta = np.fmax.reduce(deltas, axis=1, initial=0.0).tolist()
 
     # Maximal subtrees whose operator nodes are all quiet: one pass from the
     # last node back marks every qualifying subtree (leaves qualify, an
@@ -350,8 +340,8 @@ def simplify_by_impact(
     if not candidates:
         return tree, []
 
-    q2_values = evaluate_nodes(tree, baselines[1].values)
-    original_outputs = [evaluate(tree, b.values) for b in baselines]
+    q2_values = per_quartile[1][:, 0]
+    original_outputs = [nodes[0, 0] for nodes in per_quartile]
 
     current = tree
     shift = 0  # nodes removed so far ahead of the next candidate
@@ -361,8 +351,7 @@ def simplify_by_impact(
             replace_at(current, orig_id - shift, const_node(q2_values[orig_id]))
         )
         if all(
-            abs(evaluate(candidate, b.values) - original)
-            <= threshold
+            abs(evaluate(candidate, b.values) - original) <= threshold
             for b, original in zip(baselines, original_outputs)
         ):
             current = candidate

@@ -6,7 +6,8 @@ import logging
 import numpy as np
 import pytest
 
-from ecd.cli import main
+from ecd.cli import _write_json, main
+from ecd.errors import MalformedTree
 from ecd.exprcore import ExpressionTree, Operator, const_node, op_node, var_node
 from ecd.gpsr import GpConfig, Individual, model_document
 
@@ -195,6 +196,29 @@ class TestFit:
     def test_no_source(self, tmp_path):
         assert main(["fit", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"gp": 5}, "'gp' must be an object"),
+            ({"ris": 5}, "'ris' must be an object"),
+            ({"synth": 5}, "'synth' must be an object"),
+            ({"data": [1]}, "'data' must be an object"),
+            ({"ris": {"magnitude": "x"}}, "ris.magnitude must be a number"),
+            ({"ris": {"threshold": [1]}}, "ris.threshold must be a number"),
+            ({"gp": {"generations": "x"}}, "gp.generations must be a number"),
+            ({"gp": {"population_size": 50.5}}, "gp.population_size must be a number"),
+            ({"gp": {"init_depth_range": [2]}}, "gp.init_depth_range must be a list of 2"),
+            ({"seed": "x"}, "seed must be a number"),
+            ({"synth": {"n": "many"}}, "synth.n must be a number"),
+        ],
+    )
+    def test_malformed_config_is_invalid_config(self, tmp_path, caplog, doc, message):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, doc)
+        code = main(["fit", "--synth", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 1
+        assert message in caplog.text
+
 
 def ris_fixture(tmp_path):
     model_path = tmp_path / "model.json"
@@ -249,6 +273,9 @@ class TestRis:
         assert code == 1
 
 
+SET_D = {"variable": "D", "mode": "set_to", "value": 6}
+
+
 class TestCounterfactual:
     def test_derived_scenario(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"
@@ -298,6 +325,28 @@ class TestCounterfactual:
         assert main(base + ["--set", "D=6"]) == 1
         assert main(base + ["--at", "B=2", "--at", "C=3", "--at", "D=5"]) == 1
         assert main(base + ["--at", "B=2", "--set", "D"]) == 1
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"scenario": 5, "intervention": SET_D}, "'scenario' must be an object"),
+            (
+                {"scenario": {"B": "x", "C": 3, "D": 5}, "intervention": SET_D},
+                "scenario value of 'B' must be a number",
+            ),
+            ({"scenario": {"B": 2, "C": 3, "D": 5}, "intervention": 3}, "'intervention' must be an object"),
+        ],
+    )
+    def test_malformed_scenario_or_intervention(self, tmp_path, caplog, doc, message):
+        model_path = tmp_path / "model.json"
+        bcd_model(model_path)
+        cfg = tmp_path / "config.json"
+        write_config(cfg, doc)
+        code = main(
+            ["counterfactual", "--model", str(model_path), "--config", str(cfg), "--out", str(tmp_path)]
+        )
+        assert code == 1
+        assert message in caplog.text
 
     def test_scenario_missing_tree_variable(self, tmp_path):
         model_path = tmp_path / "model.json"
@@ -399,6 +448,27 @@ class TestMalformedModel:
         code = main(["ris", "--model", str(model_path), "--synth", "--out", str(tmp_path)])
         assert code == 1
         assert "must be an object" in caplog.text
+
+    def test_tree_too_deep_to_write(self, tmp_path):
+        # json.dumps(indent=2) recurses per level and fails from depth ~500
+        depth = 600
+        tree = ExpressionTree((Operator.ADD,) * depth + ("A",) + ("B",) * depth)
+        doc = model_document(Individual(tree, fitness=0.0, raw_mse=0.0), ["A", "B"], GpConfig())
+        with pytest.raises(MalformedTree, match="nested too deeply to write"):
+            _write_json(tmp_path / "model.json", doc)
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize(
+        "extra", [{"schema_version": 2}, {"operators": ["add", "pow"]}, {"operators": "add"}]
+    )
+    def test_unsupported_schema_or_operators(self, tmp_path, caplog, extra):
+        model_path = tmp_path / "model.json"
+        bcd_model(model_path)
+        doc = json.loads(model_path.read_text())
+        model_path.write_text(json.dumps({**doc, **extra}), encoding="utf-8")
+        code = main(["ris", "--model", str(model_path), "--synth", "--out", str(tmp_path)])
+        assert code == 1
+        assert "model schema_version" in caplog.text or "model operators" in caplog.text
 
     def test_non_numeric_constant(self, tmp_path):
         model_path = tmp_path / "model.json"

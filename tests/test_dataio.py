@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from ecd.dataio import Dataset, RoleConfig, filter_rows, load_csv, summarize
+from ecd.dataio import Dataset, RoleConfig, filter_rows, load_csv
 from ecd.errors import (
     EmptyAfterFiltering,
-    EmptyColumn,
     EmptyDataset,
     InvalidConfig,
     InvalidPredicate,
@@ -26,7 +25,7 @@ class TestDataset:
         data = Dataset({"A": [1.0, 2.0], "B": [3.0, 4.0]})
         assert data.n_rows == 2
         assert data.names == ("A", "B")
-        assert data.row_bindings(1) == {"A": 2.0, "B": 4.0}
+        assert (data.column("A")[1], data.column("B")[1]) == (2.0, 4.0)
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -71,12 +70,6 @@ class TestRoleConfig:
         with pytest.raises(InvalidConfig):
             RoleConfig(response="Z", predictors=("A", "A"))
 
-    def test_validate_against(self):
-        data = Dataset({"A": [1.0], "B": [2.0]})
-        RoleConfig(response="B", predictors=("A",)).validate_against(data)
-        with pytest.raises(MissingColumn):
-            RoleConfig(response="C", predictors=("A",)).validate_against(data)
-
 
 class TestLoadCsv:
     def test_two_row_file(self, tmp_path):
@@ -104,7 +97,7 @@ class TestLoadCsv:
     def test_non_finite_cells_count_as_missing(self, tmp_path):
         data = load_csv(write(tmp_path, "A,B\ninf,2\n1,nan\n3,4\n"), ROLES)
         assert data.n_rows == 1
-        assert data.row_bindings(0) == {"A": 3.0, "B": 4.0}
+        assert (data.column("A")[0], data.column("B")[0]) == (3.0, 4.0)
 
     def test_all_rows_bad(self, tmp_path):
         with pytest.raises(EmptyAfterFiltering):
@@ -126,55 +119,6 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv", ROLES)
-
-
-class TestSummarize:
-    def test_reference_column(self):
-        data = Dataset({"A": [1, 2, 3, 4, 5]})
-        stats = summarize(data)["A"]
-        assert stats["Q1"] == np.percentile([1, 2, 3, 4, 5], 25)
-        assert (stats["Q1"], stats["Q2"], stats["Q3"]) == (2.0, 3.0, 4.0)
-        assert stats["mean"] == 3.0
-        assert stats["min"] == 1.0 and stats["max"] == 5.0
-        assert stats["n"] == 5
-
-    def test_even_count_interpolates(self):
-        stats = summarize(Dataset({"A": [1, 2, 3, 4]}))["A"]
-        assert stats["Q2"] == 2.5
-
-    def test_constant_column(self):
-        stats = summarize(Dataset({"A": [7, 7, 7]}))["A"]
-        assert stats["sd"] == 0.0
-        assert stats["Q1"] == stats["Q3"] == 7.0
-
-    def test_single_value_column(self):
-        stats = summarize(Dataset({"A": [4.0]}))["A"]
-        assert stats["min"] == stats["max"] == stats["mean"] == 4.0
-        assert stats["Q1"] == stats["Q2"] == stats["Q3"] == 4.0
-        assert stats["sd"] == 0.0
-
-    def test_sample_sd(self):
-        stats = summarize(Dataset({"A": [1.0, 3.0]}))["A"]
-        assert stats["sd"] == pytest.approx(np.std([1.0, 3.0], ddof=1))
-
-    def test_order_invariance(self, rng):
-        values = rng.uniform(-5, 5, 101)
-        shuffled = values.copy()
-        rng.shuffle(shuffled)
-        a = summarize(Dataset({"A": values}))["A"]
-        b = summarize(Dataset({"A": shuffled}))["A"]
-        for key in ("min", "max", "Q1", "Q2", "Q3", "n"):
-            assert a[key] == b[key]
-        assert a["mean"] == pytest.approx(b["mean"])
-        assert a["sd"] == pytest.approx(b["sd"])
-
-    def test_missing_and_empty(self):
-        data = Dataset({"A": [1.0]})
-        with pytest.raises(MissingColumn):
-            summarize(data, ["B"])
-        empty = filter_rows(data, [["A", ">=", 99]])
-        with pytest.raises(EmptyColumn):
-            summarize(empty)
 
 
 class TestFilterRows:
@@ -210,3 +154,9 @@ class TestFilterRows:
             filter_rows(self.data, [["Age"]])
         with pytest.raises(MissingColumn):
             filter_rows(self.data, [["Height", "==", 1]])
+
+    def test_non_numeric_values_and_non_list_spec(self):
+        for spec in ([["Age", ">=", "old"]], [["Age", "range", ["a", 70]]],
+                     [["Age", "range", [1, 2, 3]]], [["Age", "==", None]], [["Age", ["=="], 1]], 5):
+            with pytest.raises(InvalidPredicate):
+                filter_rows(self.data, spec)

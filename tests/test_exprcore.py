@@ -7,13 +7,11 @@ import pytest
 from ecd.dataio import Dataset
 from ecd.errors import MalformedTree, MissingVariable, UnknownNodeId
 from ecd.exprcore import (
-    _VECTOR_FUNCS,
     DIV_EPSILON,
     ExpressionTree,
     Operator,
     const_node,
     dependency_set,
-    depth,
     evaluate,
     evaluate_batch,
     evaluate_nodes,
@@ -21,10 +19,8 @@ from ecd.exprcore import (
     op_node,
     pdiv,
     replace_at,
-    size,
     subtree_at,
     to_dot,
-    to_infix,
     tree_from_json,
     tree_to_json,
     var_node,
@@ -62,8 +58,8 @@ class TestPdiv:
     def test_vector_matches_scalar(self, rng):
         x = rng.uniform(-100, 100, 200)
         y = rng.uniform(-1e-5, 1e-5, 200)
-        got = _VECTOR_FUNCS[Operator.PDIV](x, y)
-        want = np.array([pdiv(a, b) for a, b in zip(x, y)])
+        got = pdiv(x, y)
+        want = np.array([a / b if abs(b) >= DIV_EPSILON else 1.0 for a, b in zip(x, y)])
         assert np.array_equal(got, want)
 
 
@@ -111,13 +107,10 @@ class TestStructure:
 
     def test_size_and_depth(self):
         tree = bcd_tree()
-        assert size(tree) == 5
-        assert depth(tree) == 2
-        assert size(ExpressionTree(const_node(1))) == 1
-        assert depth(ExpressionTree(const_node(1))) == 0
+        assert (tree.size, tree.depth) == (5, 2)
+        assert (ExpressionTree(const_node(1)).size, ExpressionTree(const_node(1)).depth) == (1, 0)
         wide = ExpressionTree(op_node(Operator.MUL, op_node(Operator.ADD, var_node("A"), var_node("B")), var_node("C")))
-        assert size(wide) == 5
-        assert depth(wide) == 2
+        assert (wide.size, wide.depth) == (5, 2)
 
     def test_dependency_set(self):
         assert dependency_set(bcd_tree()) == {"B", "C", "D"}
@@ -179,25 +172,33 @@ class TestEvaluate:
 
 class TestEvaluateNodes:
     def test_reference_example(self):
-        values = evaluate_nodes(bcd_tree(), {"B": 2, "C": 3, "D": 5})
-        assert values == {0: 2.6, 1: 2.0, 2: 0.6, 3: 3.0, 4: 5.0}
+        values = evaluate_nodes(bcd_tree(), {"B": [2, 0], "C": [3, 1], "D": [5, 2]})
+        assert values.dtype == np.float64
+        assert values.tolist() == [[2.6, 0.5], [2.0, 0.0], [0.6, 0.5], [3.0, 1.0], [5.0, 2.0]]
 
     def test_single_constant(self):
-        assert evaluate_nodes(ExpressionTree(const_node(4)), {}) == {0: 4.0}
+        # a tree that reads no variable still fills one column per scenario
+        assert evaluate_nodes(ExpressionTree(const_node(4)), {}).tolist() == [[4.0]]
+        assert evaluate_nodes(ExpressionTree(const_node(4)), {"X": [1, 2, 3]}).tolist() == [[4.0] * 3]
 
     def test_repeated_variable(self):
         tree = ExpressionTree(op_node(Operator.MUL, var_node("A"), var_node("A")))
-        assert evaluate_nodes(tree, {"A": 3}) == {0: 9.0, 1: 3.0, 2: 3.0}
+        assert evaluate_nodes(tree, {"A": [3]}).tolist() == [[9.0], [3.0], [3.0]]
 
     def test_root_matches_evaluate_and_subtrees_match_oracle(self, rng):
         for _ in range(100):
             tree = random_tree(rng)
-            bindings = random_bindings(rng)
-            values = evaluate_nodes(tree, bindings)
-            assert set(values) == set(range(tree.size))
-            assert values[0] == evaluate(tree, bindings)
-            for node_id in range(tree.size):
-                assert values[node_id] == naive_eval(subtree_at(tree, node_id), bindings)
+            scenarios = [random_bindings(rng) for _ in range(3)]
+            values = evaluate_nodes(tree, {n: [s[n] for s in scenarios] for n in scenarios[0]})
+            assert values.shape == (tree.size, 3)
+            for k, bindings in enumerate(scenarios):
+                assert values[0, k] == evaluate(tree, bindings)
+                for node_id in range(tree.size):
+                    assert values[node_id, k] == naive_eval(subtree_at(tree, node_id), bindings)
+
+    def test_missing_variable(self):
+        with pytest.raises(MissingVariable):
+            evaluate_nodes(bcd_tree(), {"B": [1.0], "C": [2.0]})
 
 
 class TestEvaluateBatch:
@@ -222,25 +223,25 @@ class TestEvaluateBatch:
         for _ in range(50):
             tree = random_tree(rng)
             batch = evaluate_batch(tree, data)
-            scalar = np.array([evaluate(tree, data.row_bindings(i)) for i in range(40)])
-            assert np.array_equal(batch, scalar)
+            rows = [{n: cols[n][i] for n in names} for i in range(40)]
+            assert np.array_equal(batch, [naive_eval(tree.tokens, row) for row in rows])
 
 
 class TestInfix:
     def test_reference_example(self):
-        assert to_infix(bcd_tree()) == "(B + (C / D))"
+        assert bcd_tree().infix == "(B + (C / D))"
 
     def test_constant_rendering(self):
-        assert to_infix(ExpressionTree(const_node(1))) == "1"
-        assert to_infix(ExpressionTree(const_node(-3))) == "-3"
-        assert to_infix(ExpressionTree(const_node(2.5))) == "2.5"
+        assert ExpressionTree(const_node(1)).infix == "1"
+        assert ExpressionTree(const_node(-3)).infix == "-3"
+        assert ExpressionTree(const_node(2.5)).infix == "2.5"
         assert format_constant(0.1) == "0.1"
         assert format_constant(1e20) == "1e+20"
 
     def test_deterministic(self, rng):
         for _ in range(50):
             tree = random_tree(rng)
-            assert tree.infix == to_infix(ExpressionTree(tree.tokens))
+            assert tree.infix == ExpressionTree(tree.tokens).infix
 
 
 class TestJsonRoundTrip:
@@ -323,8 +324,8 @@ class TestDeepTree:
         assert (tree.size, tree.depth) == (2 * self.DEPTH + 1, self.DEPTH)
         expected = 1.0 + 2.0 * self.DEPTH
         assert evaluate(tree, {"A": 1.0, "B": 2.0}) == expected
-        values = evaluate_nodes(tree, {"A": 1.0, "B": 2.0})
-        assert values[0] == expected and values[self.DEPTH] == 1.0
+        values = evaluate_nodes(tree, {"A": [1.0], "B": [2.0]})
+        assert values[0, 0] == expected and values[self.DEPTH, 0] == 1.0
         data = Dataset({"A": [1.0, 0.0], "B": [2.0, 1.0]})
         assert np.array_equal(evaluate_batch(tree, data), [expected, float(self.DEPTH)])
         assert tree.infix.startswith("(" * self.DEPTH + "A + B)")

@@ -411,3 +411,11 @@ class TestModelDocument:
             model_from_document({"variables": ["A"]})
         with pytest.raises(MissingVariable):
             model_from_document({"tree": {"var": "Q"}, "variables": ["A"]})
+
+    def test_rejects_other_schema_version_and_unknown_operators(self):
+        doc = {"tree": {"var": "A"}, "variables": ["A"]}
+        assert model_from_document(dict(doc, schema_version=1, operators=["add", "pdiv"]))
+        for bad in ({"schema_version": 2}, {"schema_version": "1"}, {"operators": ["pow"]},
+                    {"operators": [["add"]]}, {"operators": {"add": 1}}):
+            with pytest.raises(MalformedTree):
+                model_from_document(dict(doc, **bad))

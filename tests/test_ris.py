@@ -6,7 +6,13 @@ import pytest
 from conftest import VARS, naive_eval, random_bindings, random_tree
 
 from ecd.dataio import Dataset
-from ecd.errors import EmptyColumn, InvalidConfig, MissingVariable, NonFiniteBaseline
+from ecd.errors import (
+    EmptyColumn,
+    InvalidConfig,
+    MissingColumn,
+    MissingVariable,
+    NonFiniteBaseline,
+)
 from ecd.exprcore import (
     ExpressionTree,
     Operator,
@@ -202,6 +208,22 @@ class TestQuartileBaselines:
         with pytest.raises(EmptyColumn):
             quartile_baselines(data, ["A"])
 
+    def test_single_value_column(self):
+        data = Dataset({"A": [4.0]})
+        assert [b.values["A"] for b in quartile_baselines(data, ["A"])] == [4.0, 4.0, 4.0]
+
+    def test_order_invariance(self, rng):
+        values = rng.uniform(-5, 5, 101)
+        shuffled = values.copy()
+        rng.shuffle(shuffled)
+        a = quartile_baselines(Dataset({"A": values}), ["A"])
+        b = quartile_baselines(Dataset({"A": shuffled}), ["A"])
+        assert [q.values for q in a] == [q.values for q in b]
+
+    def test_missing_column(self):
+        with pytest.raises(MissingColumn):
+            quartile_baselines(Dataset({"A": [1.0]}), ["B"])
+
 
 def bcd_data(seed=0, n=40):
     rng = np.random.default_rng(seed)
@@ -212,6 +234,10 @@ def bcd_data(seed=0, n=40):
 
 
 class TestQuartileImpactTable:
+    def test_needs_a_predictor(self):
+        with pytest.raises(InvalidConfig):
+            quartile_impact_table(ExpressionTree(const_node(1.0)), bcd_data(), [])
+
     def test_unreferenced_predictor_row_is_zero(self):
         tree = ExpressionTree(var_node("B"))
         data = Dataset({"B": [1.0, 2.0, 3.0], "X": [4.0, 5.0, 6.0]})
