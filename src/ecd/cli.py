@@ -61,6 +61,13 @@ def _typed(value, default, what: str):
     return value
 
 
+def _mode(name) -> ris.Mode:
+    try:
+        return ris.Mode(name)
+    except ValueError:
+        raise InvalidConfig(f"unknown perturbation mode {name!r}") from None
+
+
 def _gp_config(cfg: dict, seed: int | None) -> gpsr.GpConfig:
     section = dict(cfg.get("gp") or {})
     preset_name = section.pop("preset", None)
@@ -112,11 +119,7 @@ def _run_config(args) -> RunConfig:
     gp = _gp_config(cfg, seed)
 
     ris_cfg = cfg.get("ris") or {}
-    mode_name = getattr(args, "mode", None) or ris_cfg.get("mode", ris.Mode.RELATIVE.value)
-    try:
-        mode = ris.Mode(mode_name)
-    except ValueError:
-        raise InvalidConfig(f"unknown perturbation mode {mode_name!r}") from None
+    mode = _mode(getattr(args, "mode", None) or ris_cfg.get("mode", ris.Mode.RELATIVE.value))
     magnitude = getattr(args, "magnitude", None)
     if magnitude is None:
         magnitude = ris_cfg.get("magnitude", ris.DEFAULT_MAGNITUDE)
@@ -211,12 +214,7 @@ def _parse_assignments(pairs: Sequence[str], what: str) -> dict[str, float]:
 
 def cmd_gen(args) -> int:
     run = _run_config(args)
-    source = dict(run.source) if run.source and run.source["kind"] == "synth" else {"kind": "synth"}
-    if args.n is not None:
-        source["n"] = args.n
-    if args.noise is not None:
-        source["noise_percent"] = args.noise
-    config = _synth_config(source, run.seed)
+    config = _synth_config(run.source, run.seed)
     data, truth = synthbench.generate(config)
 
     run.out_dir.mkdir(parents=True, exist_ok=True)
@@ -322,21 +320,22 @@ def cmd_counterfactual(args) -> int:
         intervention = ris.PerturbationSpec(variable, ris.Mode.SET_TO, new_value)
     elif cfg.get("intervention") is not None:
         section = cfg["intervention"]
-        try:
-            mode = ris.Mode(section.get("mode", ris.Mode.SET_TO.value))
-            magnitude = float(section.get("value", section.get("magnitude")))
-            intervention = ris.PerturbationSpec(str(section["variable"]), mode, magnitude)
-        except (KeyError, TypeError, ValueError):
-            raise InvalidConfig(
-                "intervention needs variable plus value (set_to) or magnitude"
-            ) from None
+        variable, value = section.get("variable"), section.get("value", section.get("magnitude"))
+        if not isinstance(variable, str) or value is None:
+            raise InvalidConfig("intervention needs variable plus value (set_to) or magnitude")
+        intervention = ris.PerturbationSpec(
+            variable,
+            _mode(section.get("mode", ris.Mode.SET_TO.value)),
+            float(_typed(value, 0.0, "intervention value")),
+        )
     else:
         raise InvalidConfig("counterfactual needs an intervention (--set NAME=VALUE or config)")
 
     report = ris.counterfactual(tree, scenario, intervention)
-
+    annotations = report.annotations()
+    base, pert = report.baseline_values, report.perturbed_values
     internal = [i for i, token in enumerate(tree.tokens) if isinstance(token, Operator)]
-    top = sorted(internal, key=lambda i: (-abs(report.node_impacts[i].delta), i))[:2]
+    top = sorted(internal, key=lambda i: (-abs(pert[i] - base[i]), i))[:2]
 
     lines = [
         "scenario: " + ", ".join(f"{k}={v:g}" for k, v in sorted(scenario.values.items())),
@@ -349,20 +348,13 @@ def cmd_counterfactual(args) -> int:
         lines.extend(f"note: {note}" for note in report.notes)
     if top:
         lines.append("most changed internal nodes:")
-        for node_id in top:
-            ni = report.node_impacts[node_id]
-            lines.append(
-                f"  node {node_id} {_describe_node(tree, node_id)}: "
-                f"{ni.baseline_value:.3f} -> {ni.perturbed_value:.3f} ({ris.format_impact(ni.delta)})"
-            )
+        lines.extend(f"  node {i} {_describe_node(tree, i)}: {annotations[i]}" for i in top)
     text = "\n".join(lines) + "\n"
 
     run.out_dir.mkdir(parents=True, exist_ok=True)
     (run.out_dir / "counterfactual.txt").write_text(text, encoding="utf-8")
     _write_json(run.out_dir / "counterfactual.json", report.to_json())
-    (run.out_dir / "counterfactual.dot").write_text(
-        to_dot(tree, report.annotations()), encoding="utf-8"
-    )
+    (run.out_dir / "counterfactual.dot").write_text(to_dot(tree, annotations), encoding="utf-8")
     log.info("counterfactual report written to %s", run.out_dir)
     sys.stderr.write(text)
     if args.stdout:
@@ -438,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--n", type=int, help="sample count (default 500)")
     p.add_argument("--noise", type=float, help="noise percent (default 0)")
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, synth=True)
 
     p = sub.add_parser("fit", help="evolve an expression tree for a response column")
     _add_common(p)

@@ -470,6 +470,8 @@ def model_from_document(doc: dict) -> tuple[ExpressionTree, tuple[str, ...]]:
         variables = tuple(str(v) for v in doc["variables"])
     except KeyError as exc:
         raise MalformedTree(f"model document lacks required key: {exc}") from None
+    if len(set(variables)) != len(variables):
+        raise MalformedTree(f"model variables {list(variables)} repeat a name")
     extra = dependency_set(tree) - set(variables)
     if extra:
         raise MissingVariable(sorted(extra)[0])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -59,27 +59,35 @@ class PerturbationSpec:
     mode: Mode = Mode.RELATIVE
     magnitude: float = DEFAULT_MAGNITUDE
 
-
-@dataclass(frozen=True)
-class NodeImpact:
-    baseline_value: float
-    perturbed_value: float
-    delta: float
+    def __post_init__(self):
+        if not math.isfinite(self.magnitude):
+            raise InvalidConfig(f"{self.variable} perturbation is not finite: {self.magnitude!r}")
 
 
 @dataclass(frozen=True)
 class ImpactReport:
+    """How one perturbation moves every node: node i's value before and after
+    is at index i of baseline_values and perturbed_values. The reports of one
+    ris call share one baseline_values tuple."""
+
     variable: str
     baseline_label: str
-    baseline_output: float
-    perturbed_output: float
-    impact: float
-    node_impacts: Mapping[int, NodeImpact]
+    baseline_values: tuple[float, ...]
+    perturbed_values: tuple[float, ...]
     unused_variable: bool = False
     notes: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "node_impacts", dict(self.node_impacts))
+    @property
+    def baseline_output(self) -> float:
+        return self.baseline_values[0]
+
+    @property
+    def perturbed_output(self) -> float:
+        return self.perturbed_values[0]
+
+    @property
+    def impact(self) -> float:
+        return self.perturbed_values[0] - self.baseline_values[0]
 
     def to_json(self) -> dict:
         return {
@@ -91,20 +99,16 @@ class ImpactReport:
             "unused_variable": self.unused_variable,
             "notes": list(self.notes),
             "node_impacts": {
-                str(node_id): {
-                    "baseline_value": ni.baseline_value,
-                    "perturbed_value": ni.perturbed_value,
-                    "delta": ni.delta,
-                }
-                for node_id, ni in sorted(self.node_impacts.items())
+                str(node_id): {"baseline_value": b, "perturbed_value": p, "delta": p - b}
+                for node_id, (b, p) in enumerate(zip(self.baseline_values, self.perturbed_values))
             },
         }
 
     def annotations(self) -> dict[int, str]:
         """Per-node label suffixes for exprcore.to_dot."""
         return {
-            node_id: f"{ni.baseline_value:.3f} -> {ni.perturbed_value:.3f} ({format_impact(ni.delta)})"
-            for node_id, ni in self.node_impacts.items()
+            node_id: f"{b:.3f} -> {p:.3f} ({format_impact(p - b)})"
+            for node_id, (b, p) in enumerate(zip(self.baseline_values, self.perturbed_values))
         }
 
 
@@ -180,24 +184,18 @@ def ris(
     predictor list stay total.
     """
     nodes, notes = _scenario_nodes(tree, baseline, perturbations)
-    columns = nodes.T.tolist()
-    base = columns[0]
+    base, *perturbed = map(tuple, nodes.T.tolist())
     deps = dependency_set(tree)
     return [
         ImpactReport(
             variable=perturbation.variable,
             baseline_label=baseline.label,
-            baseline_output=base[0],
-            perturbed_output=pert[0],
-            impact=pert[0] - base[0],
-            node_impacts={
-                node_id: NodeImpact(b, p, p - b)
-                for node_id, (b, p) in enumerate(zip(base, pert))
-            },
+            baseline_values=base,
+            perturbed_values=pert,
             unused_variable=perturbation.variable not in deps,
             notes=note,
         )
-        for perturbation, pert, note in zip(perturbations, columns[1:], notes)
+        for perturbation, pert, note in zip(perturbations, perturbed, notes)
     ]
 
 
@@ -222,15 +220,22 @@ def quartile_baselines(
 @dataclass(frozen=True)
 class QuartileImpactTable:
     """Impacts of one shared perturbation per predictor at Q1/Q2/Q3, plus the
-    tree's response at each quartile baseline."""
+    tree's response at each quartile baseline, read from each predictor's
+    three reports."""
 
-    rows: tuple[tuple[str, tuple[float, float, float]], ...]
-    baselines: tuple[float, float, float]
+    reports: Mapping[str, tuple[ImpactReport, ImpactReport, ImpactReport]]
     mode: Mode
     magnitude: float
-    reports: Mapping[str, tuple[ImpactReport, ImpactReport, ImpactReport]] = field(
-        default_factory=dict, repr=False
-    )
+
+    @property
+    def rows(self) -> tuple[tuple[str, tuple[float, float, float]], ...]:
+        return tuple(
+            (name, tuple(report.impact for report in cells)) for name, cells in self.reports.items()
+        )
+
+    @property
+    def baselines(self) -> tuple[float, float, float]:
+        return tuple(report.baseline_output for report in next(iter(self.reports.values())))
 
     def to_text(self) -> str:
         width = max(len(name) for name in ("Variable", "Baseline", *(name for name, _ in self.rows)))
@@ -270,17 +275,12 @@ def quartile_impact_table(
     """One ris run per quartile baseline, perturbing each predictor in turn
     while the others stay at that quartile. Full-precision impacts;
     formatting happens in to_text."""
-    if not predictors:
-        raise InvalidConfig("an impact table needs at least one predictor")
+    if not predictors or len(set(predictors)) != len(predictors):
+        raise InvalidConfig(f"an impact table needs distinct predictors, got {list(predictors)}")
     specs = [PerturbationSpec(name, perturbation_mode, magnitude) for name in predictors]
     per_quartile = [ris(tree, baseline, specs) for baseline in quartile_baselines(data, predictors)]
-    cells = list(zip(predictors, zip(*per_quartile)))
     return QuartileImpactTable(
-        rows=tuple((name, tuple(report.impact for report in row)) for name, row in cells),
-        baselines=tuple(reports[0].baseline_output for reports in per_quartile),
-        mode=perturbation_mode,
-        magnitude=magnitude,
-        reports=dict(cells),
+        dict(zip(predictors, zip(*per_quartile))), perturbation_mode, magnitude
     )
 
 

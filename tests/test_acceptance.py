@@ -217,7 +217,8 @@ def test_05_zero_perturbation_identity():
         else:
             spec = PerturbationSpec(name, Mode.SET_TO, bindings[name])
         (rep,) = ris(tree, BaselineSpec(bindings, "b"), [spec])
-        if rep.impact != 0.0 or any(ni.delta != 0.0 for ni in rep.node_impacts.values()):
+        deltas = (p - b for b, p in zip(rep.baseline_values, rep.perturbed_values))
+        if rep.impact != 0.0 or any(delta != 0.0 for delta in deltas):
             violations += 1
     report(5, "zero perturbation identity", violations == 0, f"{violations}/1000 violations")
 

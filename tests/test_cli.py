@@ -98,6 +98,17 @@ class TestGen:
     def test_invalid_n(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path), "--n", "1"]) == 1
 
+    def test_config_with_data_and_synth_sections(self, tmp_path):
+        # gen reads no CSV, so a config shared with fit may name both sources
+        cfg = tmp_path / "config.json"
+        write_config(cfg, {"data": {"csv": "absent.csv"}, "synth": {"n": 25, "seed": 4}})
+        out = tmp_path / "out"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+        truth = json.loads((out / "synthetic_truth.json").read_text())
+        assert (truth["n"], truth["seed"]) == (25, 4)
+        assert main(["gen", "--config", str(cfg), "--n", "30", "--out", str(out)]) == 0
+        assert json.loads((out / "synthetic_truth.json").read_text())["n"] == 30
+
 
 class TestFit:
     def test_csv_fit_writes_artifacts(self, tmp_path):
@@ -272,6 +283,23 @@ class TestRis:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "extra", [["--magnitude", "nan"], ["--magnitude=-inf"], ["--config", "nan.json"]]
+    )
+    def test_non_finite_magnitude(self, tmp_path, caplog, extra):
+        model_path, data_path = ris_fixture(tmp_path)
+        # json.load reads the bare NaN that Python's json.dumps writes
+        write_config(tmp_path / "nan.json", {"ris": {"magnitude": float("nan")}})
+        extra = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in extra]
+        out = tmp_path / "out"
+        code = main(
+            ["ris", "--model", str(model_path), "--csv", str(data_path), "--response", "Z",
+             "--predictors", "B,C,D", "--out", str(out), *extra]
+        )
+        assert code == 1
+        assert "is not finite" in caplog.text
+        assert not (out / "impact_table.json").exists()
+
 
 SET_D = {"variable": "D", "mode": "set_to", "value": 6}
 
@@ -335,6 +363,26 @@ class TestCounterfactual:
                 "scenario value of 'B' must be a number",
             ),
             ({"scenario": {"B": 2, "C": 3, "D": 5}, "intervention": 3}, "'intervention' must be an object"),
+            (
+                {"scenario": {"B": 2, "C": 3, "D": 5}, "intervention": dict(SET_D, value="2.5")},
+                "intervention value must be a number",
+            ),
+            (
+                {"scenario": {"B": 2, "C": 3, "D": 5}, "intervention": dict(SET_D, value=True)},
+                "intervention value must be a number",
+            ),
+            (
+                {"scenario": {"B": 2, "C": 3, "D": 5}, "intervention": dict(SET_D, variable=4)},
+                "intervention needs variable",
+            ),
+            (
+                {"scenario": {"B": 2, "C": 3, "D": 5}, "intervention": dict(SET_D, mode="scale")},
+                "unknown perturbation mode",
+            ),
+            (
+                {"scenario": {"B": 2, "C": 3, "D": 5}, "intervention": dict(SET_D, value=float("nan"))},
+                "is not finite",
+            ),
         ],
     )
     def test_malformed_scenario_or_intervention(self, tmp_path, caplog, doc, message):
@@ -347,6 +395,17 @@ class TestCounterfactual:
         )
         assert code == 1
         assert message in caplog.text
+
+    def test_non_finite_set_value(self, tmp_path, caplog):
+        model_path = tmp_path / "model.json"
+        bcd_model(model_path)
+        code = main(
+            ["counterfactual", "--model", str(model_path), "--at", "B=2", "--at", "C=3",
+             "--at", "D=5", "--set", "D=nan", "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert "is not finite" in caplog.text
+        assert not (tmp_path / "out" / "counterfactual.json").exists()
 
     def test_scenario_missing_tree_variable(self, tmp_path):
         model_path = tmp_path / "model.json"
@@ -410,6 +469,15 @@ class TestSimplify:
         )
         assert code == 1
 
+    def test_non_finite_magnitude(self, tmp_path, caplog):
+        model_path, data_path = ris_fixture(tmp_path)
+        code = main(
+            ["simplify", "--model", str(model_path), "--csv", str(data_path), "--response", "Z",
+             "--predictors", "B,C,D", "--magnitude", "nan", "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert "is not finite" in caplog.text
+
     def test_invalid_config_json(self, tmp_path):
         model_path = tmp_path / "model.json"
         bcd_model(model_path)
@@ -470,6 +538,17 @@ class TestMalformedModel:
         assert code == 1
         assert "model schema_version" in caplog.text or "model operators" in caplog.text
 
+    def test_repeated_variables(self, tmp_path, caplog):
+        model_path = tmp_path / "model.json"
+        bcd_model(model_path)
+        doc = json.loads(model_path.read_text())
+        model_path.write_text(json.dumps(dict(doc, variables=["B", "C", "D", "B"])), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["ris", "--model", str(model_path), "--synth", "--out", str(out)])
+        assert code == 1
+        assert "repeat a name" in caplog.text
+        assert not out.exists()
+
     def test_non_numeric_constant(self, tmp_path):
         model_path = tmp_path / "model.json"
         model_path.write_text('{"variables": [], "tree": {"const": "x"}}', encoding="utf-8")
@@ -488,6 +567,9 @@ GOLDEN_SHA256 = {
     "ris/impact_D_Q2.dot": "535bf86e5b34ea4135fdebb0392f0ce7712c328bbafb701dbf98ac7f99f5c3da",
     "simp/simplified_model.json": "73b61d9df60a2bf391bd875a5f73e24af68b84b183a97e26dcaac35b06bb142c",
     "simp/simplified_tree.dot": "465dcf53036b354acb24b5fe5547d73991739b9b38c155357df14c86b55cd62b",
+    "cf/counterfactual.txt": "db148d1d6e3de6636c3bd06781357daae6729bca42f70c856b89165cbe24f7f6",
+    "cf/counterfactual.json": "548f18e768c80fe65810d7236e03d39933cf5f101be46e6b36142d52b051cff2",
+    "cf/counterfactual.dot": "04b7caec4bd4d28b664c822dbfd538eb8e84303df2bb3e9db4ee9921779a7fe1",
 }
 
 
@@ -502,6 +584,10 @@ def test_golden_artifacts(tmp_path):
         ["simplify", "--model", model, *data, "--threshold", "0.05", "--out", str(tmp_path / "simp")]
     ) == 0
     assert json.loads((tmp_path / "simp" / "simplified_model.json").read_text())["pruned_node_ids"]
+    at = ["--at", "A=1.5", "--at", "B=2", "--at", "C=3", "--at", "D=5"]
+    assert main(
+        ["counterfactual", "--model", model, *at, "--set", "B=3", "--out", str(tmp_path / "cf")]
+    ) == 0
     got = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256
     }

@@ -412,6 +412,10 @@ class TestModelDocument:
         with pytest.raises(MissingVariable):
             model_from_document({"tree": {"var": "Q"}, "variables": ["A"]})
 
+    def test_rejects_repeated_variables(self):
+        with pytest.raises(MalformedTree, match="repeat a name"):
+            model_from_document({"tree": {"var": "A"}, "variables": ["A", "B", "C", "D", "B"]})
+
     def test_rejects_other_schema_version_and_unknown_operators(self):
         doc = {"tree": {"var": "A"}, "variables": ["A"]}
         assert model_from_document(dict(doc, schema_version=1, operators=["add", "pdiv"]))

@@ -52,6 +52,11 @@ def bcd_tree():
 BCD_BASE = {"B": 2.0, "C": 3.0, "D": 5.0}
 
 
+def node_pairs(report):
+    """(baseline, perturbed) value of every node, in preorder."""
+    return list(zip(report.baseline_values, report.perturbed_values))
+
+
 class TestPerturbedValues:
     def test_relative(self):
         base = BaselineSpec({"A": 2.0}, "s")
@@ -82,6 +87,12 @@ class TestPerturbedValues:
         with pytest.raises(MissingVariable):
             perturbed_values(base, PerturbationSpec("Q", Mode.RELATIVE, 0.05))
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("magnitude", [math.nan, math.inf, -math.inf])
+    def test_non_finite_magnitude_rejected(self, mode, magnitude):
+        with pytest.raises(InvalidConfig):
+            PerturbationSpec("A", mode, magnitude)
+
 
 class TestRis:
     def test_zero_perturbation_is_exactly_zero(self):
@@ -91,7 +102,7 @@ class TestRis:
             (report,) = ris(tree, base, [PerturbationSpec(name, Mode.RELATIVE, 0.0)])
             assert report.impact == 0.0
             assert report.perturbed_output == report.baseline_output
-            assert all(ni.delta == 0.0 for ni in report.node_impacts.values())
+            assert all(p - b == 0.0 for b, p in node_pairs(report))
 
     def test_relative_on_divisor_matches_reference_evaluator(self):
         tree = bcd_tree()
@@ -101,11 +112,12 @@ class TestRis:
         expected = naive_eval(tree.tokens, shifted) - naive_eval(tree.tokens, BCD_BASE)
         assert report.impact == expected
         assert report.impact == pytest.approx((2 + 3 / 5.25) - 2.6)
-        assert report.node_impacts[0].delta == report.impact
+        deltas = [p - b for b, p in node_pairs(report)]
+        assert deltas[0] == report.impact
         # leaves B and C do not move; only the D leaf and its ancestors do
-        assert report.node_impacts[1].delta == 0.0
-        assert report.node_impacts[3].delta == 0.0
-        assert report.node_impacts[4].delta == 5.0 * (1.0 + 0.05) - 5.0
+        assert deltas[1] == 0.0
+        assert deltas[3] == 0.0
+        assert deltas[4] == 5.0 * (1.0 + 0.05) - 5.0
 
     def test_absolute_on_additive_leaf(self):
         tree = bcd_tree()
@@ -122,6 +134,8 @@ class TestRis:
         reports = ris(tree, base, specs)
         assert [r.variable for r in reports] == ["B", "C", "D"]
         assert len({r.baseline_output for r in reports}) == 1
+        assert all(r.baseline_values is reports[0].baseline_values for r in reports)
+        assert all(len(r.perturbed_values) == tree.size for r in reports)
         assert all(r.baseline_label == "Q2" for r in reports)
 
     def test_unused_variable_flagged(self):
@@ -167,7 +181,7 @@ class TestRis:
             expected = naive_eval(tree.tokens, values) - naive_eval(tree.tokens, bindings)
             (report,) = ris(tree, BaselineSpec(bindings, "r"), [spec])
             assert report.impact == expected
-            assert report.node_impacts[0].delta == report.impact
+            assert report.perturbed_values[0] - report.baseline_values[0] == report.impact
 
     def test_locality_of_node_deltas(self, rng):
         # nodes whose subtree never reads the perturbed variable stay put
@@ -177,10 +191,10 @@ class TestRis:
             name = VARS[int(rng.integers(0, len(VARS)))]
             spec = PerturbationSpec(name, Mode.RELATIVE, 0.05)
             (report,) = ris(tree, BaselineSpec(bindings, "r"), [spec])
-            for node_id, ni in report.node_impacts.items():
+            for node_id, (b, p) in enumerate(node_pairs(report)):
                 sub = ExpressionTree(subtree_at(tree, node_id))
                 if name not in dependency_set(sub):
-                    assert ni.delta == 0.0
+                    assert p - b == 0.0
 
 
 class TestQuartileBaselines:
@@ -237,6 +251,18 @@ class TestQuartileImpactTable:
     def test_needs_a_predictor(self):
         with pytest.raises(InvalidConfig):
             quartile_impact_table(ExpressionTree(const_node(1.0)), bcd_data(), [])
+
+    def test_repeated_predictor_rejected(self):
+        with pytest.raises(InvalidConfig):
+            quartile_impact_table(bcd_tree(), bcd_data(), ["B", "C", "B"])
+
+    def test_rows_and_baselines_read_the_reports(self):
+        table = quartile_impact_table(bcd_tree(), bcd_data(9), ["D", "B", "C"])
+        assert [name for name, _ in table.rows] == ["D", "B", "C"]
+        for name, impacts in table.rows:
+            assert impacts == tuple(report.impact for report in table.reports[name])
+        for cells in table.reports.values():
+            assert tuple(report.baseline_output for report in cells) == table.baselines
 
     def test_unreferenced_predictor_row_is_zero(self):
         tree = ExpressionTree(var_node("B"))
@@ -328,7 +354,7 @@ class TestCounterfactual:
         scenario = BaselineSpec(BCD_BASE, "scenario")
         report = counterfactual(tree, scenario, PerturbationSpec("D", Mode.SET_TO, 5.0))
         assert report.impact == 0.0
-        assert all(ni.delta == 0.0 for ni in report.node_impacts.values())
+        assert all(p - b == 0.0 for b, p in node_pairs(report))
 
 
 class TestSimplifyByImpact:
@@ -424,6 +450,9 @@ class TestFormatting:
         assert doc["impact"] == report.impact
         assert set(doc["node_impacts"]) == {"0", "1", "2", "3", "4"}
         assert doc["node_impacts"]["0"]["delta"] == report.impact
+        assert [doc["node_impacts"][str(i)]["perturbed_value"] for i in range(5)] == list(
+            report.perturbed_values
+        )
         notes = report.annotations()
         assert set(notes) == {0, 1, 2, 3, 4}
         assert notes[0].endswith(f"({format_impact(report.impact)})")
