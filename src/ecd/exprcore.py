@@ -278,13 +278,11 @@ def to_dot(tree: ExpressionTree, annotations: Mapping[int, str] | None = None) -
             label, shape = _SYMBOLS[token], "ellipse"
             parent[node_id + 1] = parent[ends[node_id + 1]] = node_id
         elif isinstance(token, str):
-            label, shape = token, "box"
+            label, shape = _dot_escape(token), "box"
         else:
             label, shape = format_constant(token), "box"
         if node_id in annotations:
             label = f"{label}\\n{_dot_escape(annotations[node_id])}"
-        else:
-            label = _dot_escape(label)
         lines.append(f'  n{node_id} [label="{label}" shape={shape}];')
     lines.extend(f"  n{node_id} -> n{parent[node_id]};" for node_id in range(1, len(tokens)))
     lines.append("}")

@@ -2,9 +2,12 @@
 
 The generational loop is select -> crossover -> mutate with elitism, tournament
 selection, and an MSE-plus-parsimony fitness. All randomness flows from one
-seed through a documented stream-splitting scheme (one substream for
-initialization, one per breeding generation), so runs are reproducible across
-platforms and restarts.
+seed: numpy's SeedSequence spawns one substream for initialization and one
+per breeding generation, each a PCG64 bit generator whose raw 64-bit words
+_Pcg64Stream turns into exactly the draws numpy's Generator would make. Runs
+are reproducible across platforms and restarts, and depend on numpy only
+through SeedSequence and the PCG64 bit stream, which NumPy keeps stable
+across versions (NEP 19), not through Generator's sampling methods.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import csv
 import enum
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -102,6 +105,14 @@ class GpConfig:
         clo, chi = self.constant_range
         if not clo <= chi:
             raise InvalidConfig("constant_range must satisfy lo <= hi")
+        try:
+            width = float(chi) - float(clo)  # inf or nan unless both bounds are finite
+        except OverflowError:  # an int beyond float range
+            width = math.inf
+        if not math.isfinite(width):
+            raise InvalidConfig(
+                f"constant_range {list(self.constant_range)} must have finite bounds and width"
+            )
 
 
 # Large-scale settings from published experiments; opt-in, not defaults.
@@ -156,26 +167,88 @@ class FitResult:
     terminated_by: Termination
 
 
-def _rng_streams(config: GpConfig) -> list[np.random.Generator]:
+# Raw PCG64 words a stream fetches per numpy call: enough to spread the
+# call's cost thin, few enough that the block a spent stream keeps is small.
+_STREAM_BLOCK = 512
+
+
+class _Pcg64Stream:
+    """The scalar random(), uniform(lo, hi) and integers(n) of
+    np.random.Generator(np.random.PCG64(seq)), bit for bit, computed in Python
+    from raw PCG64 words without the Generator's per-call overhead.
+
+    random() scales a word's top 53 bits by 2**-53; uniform(lo, hi) is
+    lo + (hi - lo) * random(). integers(n), for 1 <= n < 2**32, is numpy's
+    32-bit Lemire rejection over 32-bit values that are the low and then the
+    high half of one word; the spare half waits across calls, as PCG64's
+    next_uint32 keeps it, and n == 1 draws nothing.
+    """
+
+    __slots__ = ("_bits", "_next_word", "_spare")
+
+    def __init__(self, seq: np.random.SeedSequence):
+        self._bits = np.random.PCG64(seq)
+        self._next_word = iter(()).__next__
+        self._spare = None
+
+    def _word(self) -> int:
+        try:
+            return self._next_word()
+        except StopIteration:
+            self._next_word = iter(self._bits.random_raw(_STREAM_BLOCK).tolist()).__next__
+            return self._next_word()
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2**-53
+
+    def uniform(self, lo: float, hi: float) -> float:
+        lo = float(lo)  # numpy takes both bounds as doubles first
+        return lo + (float(hi) - lo) * self.random()
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        while True:
+            draw = self._spare  # a 32-bit value: a spare high half, else a fresh low half
+            if draw is None:
+                word = self._word()
+                draw, self._spare = word & 0xFFFFFFFF, word >> 32
+            else:
+                self._spare = None
+            m = draw * n
+            # Lemire: reject m whose low half is below 2**32 % n, which is
+            # below n, so the modulo is needed only for a low half below n.
+            low = m & 0xFFFFFFFF
+            if low >= n or low >= (0x100000000 - n) % n:
+                return m >> 32
+
+
+# What breeding draws from: evolve passes a _Pcg64Stream, and other callers
+# may pass a numpy Generator, whose integers(n), random() and uniform(lo, hi)
+# give the same draws.
+Rng = Union[_Pcg64Stream, np.random.Generator]
+
+
+def _rng_streams(config: GpConfig) -> list[_Pcg64Stream]:
     """Stream 0 seeds initialization; stream t >= 1 breeds generation t."""
     seqs = np.random.SeedSequence(config.seed).spawn(config.generations + 1)
-    return [np.random.Generator(np.random.PCG64(s)) for s in seqs]
+    return [_Pcg64Stream(s) for s in seqs]
 
 
-def _random_leaf(rng: np.random.Generator, variables: Sequence[str], constant_range) -> Token:
+def _random_leaf(rng: Rng, variables: Sequence[str], constant_range) -> Token:
     # Constants occupy one slot alongside the variables.
-    pick = int(rng.integers(0, len(variables) + 1))
+    pick = rng.integers(len(variables) + 1)
     if pick == len(variables):
-        return float(rng.uniform(*constant_range))
+        return rng.uniform(*constant_range)
     return variables[pick]
 
 
-def _random_operator(rng: np.random.Generator) -> Operator:
-    return OPERATORS[int(rng.integers(0, len(OPERATORS)))]
+def _random_operator(rng: Rng) -> Operator:
+    return OPERATORS[rng.integers(len(OPERATORS))]
 
 
 def _random_tree(
-    rng: np.random.Generator,
+    rng: Rng,
     variables: Sequence[str],
     constant_range,
     target_depth: int,
@@ -198,7 +271,7 @@ def _random_tree(
 
 
 def init_population(
-    config: GpConfig, variables: Iterable[str], rng: np.random.Generator
+    config: GpConfig, variables: Iterable[str], rng: Rng
 ) -> list[Individual]:
     """Ramped half-and-half: depth targets cycle over init_depth_range while
     full and grow construction alternate."""
@@ -239,13 +312,14 @@ def fitness(
 def select(
     population: Sequence[Individual],
     tournament_size: int,
-    rng: np.random.Generator,
+    rng: Rng,
 ) -> Individual:
     """Tournament of uniformly sampled entrants, with replacement. Ties fall to
     smaller trees, then to the earlier population index."""
     if not population:
         raise EmptyPopulation("cannot select from an empty population")
-    entrants = rng.integers(0, len(population), size=tournament_size).tolist()
+    n = len(population)
+    entrants = [rng.integers(n) for _ in range(tournament_size)]
     return population[
         min(entrants, key=lambda i: (population[i].fitness, population[i].tree.size, i))
     ]
@@ -255,12 +329,12 @@ def crossover(
     parent_a: ExpressionTree,
     parent_b: ExpressionTree,
     max_depth: int,
-    rng: np.random.Generator,
+    rng: Rng,
 ) -> tuple[ExpressionTree, ExpressionTree]:
     """Swap uniformly chosen subtrees. A child exceeding max_depth is replaced
     by a copy of its corresponding parent."""
-    point_a = int(rng.integers(0, parent_a.size))
-    point_b = int(rng.integers(0, parent_b.size))
+    point_a = rng.integers(parent_a.size)
+    point_b = rng.integers(parent_b.size)
     sub_a = subtree_at(parent_a, point_a)
     sub_b = subtree_at(parent_b, point_b)
     # Children are built before their depth is checked: few exceed max_depth.
@@ -273,14 +347,14 @@ def crossover(
 
 
 def _point_mutation(
-    tree: ExpressionTree, variables: Sequence[str], config: GpConfig, rng: np.random.Generator
+    tree: ExpressionTree, variables: Sequence[str], config: GpConfig, rng: Rng
 ) -> ExpressionTree:
     """Swap one token for another of the same kind; operands stay in place."""
-    idx = int(rng.integers(0, tree.size))
+    idx = rng.integers(tree.size)
     token = tree.tokens[idx]
     if isinstance(token, Operator):
         alternatives = [op for op in OPERATORS if op is not token]
-        token = alternatives[int(rng.integers(0, len(alternatives)))]
+        token = alternatives[rng.integers(len(alternatives))]
     else:
         token = _random_leaf(rng, variables, config.constant_range)
     return ExpressionTree(tree.tokens[:idx] + (token,) + tree.tokens[idx + 1 :])
@@ -290,7 +364,7 @@ def mutate(
     tree: ExpressionTree,
     variables: Sequence[str],
     config: GpConfig,
-    rng: np.random.Generator,
+    rng: Rng,
 ) -> ExpressionTree:
     """Half the time replace a subtree with a fresh grow tree of depth <= 2,
     otherwise point-mutate one node. max_depth is always respected; subtree
@@ -298,7 +372,7 @@ def mutate(
     names = sorted(set(variables))
     if rng.random() < 0.5:
         for _ in range(10):
-            idx = int(rng.integers(0, tree.size))
+            idx = rng.integers(tree.size)
             fresh = _random_tree(
                 rng, names, config.constant_range, target_depth=2, min_depth=0, full=False
             )

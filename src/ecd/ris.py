@@ -307,8 +307,8 @@ def simplify_by_impact(
     at all three quartile baselines within threshold. Returned ids are the
     pruned subtree roots, numbered in the original tree.
     """
-    if not threshold >= 0:
-        raise InvalidConfig(f"threshold must be nonnegative, got {threshold!r}")
+    if not 0 <= threshold < math.inf:
+        raise InvalidConfig(f"threshold must be nonnegative and finite, got {threshold!r}")
     baselines = quartile_baselines(data, predictors)
     specs = [PerturbationSpec(name, Mode.RELATIVE, magnitude) for name in predictors]
     per_quartile = [_scenario_nodes(tree, baseline, specs)[0] for baseline in baselines]

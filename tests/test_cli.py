@@ -230,6 +230,17 @@ class TestFit:
         assert code == 1
         assert message in caplog.text
 
+    @pytest.mark.parametrize(
+        "bounds", [[-1e308, 1e308], [0.0, 1e999], [-1e999, -1e999], [0, 10**400]]
+    )
+    def test_non_finite_constant_range(self, tmp_path, caplog, bounds):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, {"gp": {"constant_range": bounds}})
+        code = main(["fit", "--synth", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 1
+        assert "must have finite bounds and width" in caplog.text
+        assert not (tmp_path / "model.json").exists()
+
 
 def ris_fixture(tmp_path):
     model_path = tmp_path / "model.json"
@@ -498,6 +509,32 @@ class TestSimplify:
         )
         assert code == 1
         assert "threshold must be nonnegative" in caplog.text
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_threshold_flag(self, tmp_path, caplog, value):
+        model_path, data_path = ris_fixture(tmp_path)
+        out = tmp_path / "out"
+        code = main(
+            ["simplify", "--model", str(model_path), "--csv", str(data_path),
+             "--response", "Z", "--predictors", "B,C,D", "--threshold", value,
+             "--out", str(out)]
+        )
+        assert code == 1
+        assert "threshold must be nonnegative and finite" in caplog.text
+        assert not (out / "simplified_model.json").exists()
+
+    def test_non_finite_threshold_in_config(self, tmp_path, caplog):
+        model_path, data_path = ris_fixture(tmp_path)
+        cfg = tmp_path / "config.json"
+        # 1e999 is how JSON spells a float that parses to inf.
+        cfg.write_text('{"ris": {"threshold": 1e999}}', encoding="utf-8")
+        code = main(
+            ["simplify", "--model", str(model_path), "--csv", str(data_path),
+             "--response", "Z", "--predictors", "B,C,D", "--config", str(cfg),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert "threshold must be nonnegative and finite" in caplog.text
 
 
 class TestMalformedModel:

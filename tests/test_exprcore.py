@@ -311,6 +311,13 @@ class TestToDot:
         dot = to_dot(tree, {0: 'say "hi"'})
         assert '\\"hi\\"' in dot
 
+    @pytest.mark.parametrize("annotations", [None, {0: "x"}])
+    def test_variable_name_escaped_with_and_without_annotation(self, annotations):
+        tree = ExpressionTree(var_node('a"b\\c'))
+        dot = to_dot(tree, annotations)
+        label = 'a\\"b\\\\c' + ("\\nx" if annotations else "")
+        assert f'n0 [label="{label}" shape=box];' in dot
+
 
 class TestDeepTree:
     DEPTH = 5000

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from ecd.gpsr import (
     GpConfig,
     Individual,
     Termination,
+    _Pcg64Stream,
     _rng_streams,
     crossover,
     diversity,
@@ -44,7 +46,7 @@ from ecd.gpsr import (
 
 
 class StubRng:
-    """Scripted stand-in for numpy's Generator, for forcing rare branches."""
+    """Scripted stand-in for the draws breeding takes, for forcing rare branches."""
 
     def __init__(self, randoms=(), integers=(), uniforms=()):
         self.randoms = list(randoms)
@@ -54,13 +56,55 @@ class StubRng:
     def random(self):
         return self.randoms.pop(0)
 
-    def integers(self, low, high=None, size=None):
-        if size is None:
-            return self.ints.pop(0)
-        return np.array([self.ints.pop(0) for _ in range(size)])
+    def integers(self, n):
+        return self.ints.pop(0)
 
     def uniform(self, low, high):
         return self.uniforms.pop(0)
+
+
+# integers(n) bounds: n == 1 draws nothing, 2**31 + 1 and 3 * 2**30 reject
+# about half and a quarter of their 32-bit draws, 2**32 - 1 is the largest.
+STREAM_BOUNDS = (1, 2, 3, 2000, 2**31 + 1, 3 * 2**30, 2**32 - 1)
+
+
+class TestPcg64Stream:
+    def test_matches_numpy_generator_draw_for_draw(self):
+        for seed in range(12):
+            seq = np.random.SeedSequence(seed)
+            stream = _Pcg64Stream(seq)
+            numpy_rng = np.random.Generator(np.random.PCG64(seq))
+            script = random.Random(seed)
+            # 3,000 draws take more than one block of raw words.
+            for _ in range(3000):
+                kind = script.randrange(3)
+                if kind == 0:
+                    assert stream.random().hex() == numpy_rng.random().hex()
+                elif kind == 1:
+                    lo = script.uniform(-10.0, 10.0)
+                    hi = lo + script.choice((0.0, 1e-3, 7.5, 1e6))
+                    assert stream.uniform(lo, hi).hex() == numpy_rng.uniform(lo, hi).hex()
+                else:
+                    n = script.choice(STREAM_BOUNDS)
+                    got = stream.integers(n)
+                    assert type(got) is int
+                    assert got == numpy_rng.integers(n)
+
+    def test_recorded_draws(self):
+        # Fixed from PCG64's raw words alone; this list must not move when
+        # numpy's Generator changes how it samples.
+        stream = _Pcg64Stream(np.random.SeedSequence(20240501))
+        assert stream.random().hex() == "0x1.139b80bfe2ad2p-2"
+        assert stream.integers(7) == 2
+        assert stream.uniform(-5.0, 5.0).hex() == "-0x1.332b12cc00688p+2"
+        assert stream.integers(2**31 + 1) == 368501858
+        assert stream.integers(1) == 0
+        assert stream.integers(3) == 0
+        assert stream.random().hex() == "0x1.5576968847bc8p-2"
+        assert stream.integers(2**32 - 1) == 1072621898
+        assert stream.integers(3 * 2**30) == 1207088782
+        assert stream.uniform(0.5, 2.0).hex() == "0x1.19d8336736a5ap+0"
+        assert stream.integers(2000) == 406
 
 
 def make_data(seed=7, n=80):
@@ -90,6 +134,9 @@ class TestGpConfig:
             {"parsimony_coeff": -0.001},
             {"fitness_threshold": -1.0},
             {"constant_range": (5.0, -5.0)},
+            {"constant_range": (-1e308, 1e308)},
+            {"constant_range": (0.0, math.inf)},
+            {"constant_range": (math.nan, 1.0)},
         ],
     )
     def test_invalid_configs(self, kwargs):
