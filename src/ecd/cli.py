@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -50,7 +51,9 @@ def _load_config_file(path: str) -> dict:
 
 def _typed(value, default, what: str):
     """value if it is a JSON value of default's kind: an int for an int, any
-    number for a float, a list of as many such values for a tuple."""
+    number (as a float) for a float, a list of as many such values for a tuple.
+    An int beyond float range reads as the infinity JSON's 1e999 parses to,
+    so one domain check rejects both."""
     if isinstance(default, tuple):
         if not isinstance(value, list) or len(value) != len(default):
             raise InvalidConfig(f"{what} must be a list of {len(default)}, got {value!r}")
@@ -58,7 +61,12 @@ def _typed(value, default, what: str):
     kinds = int if isinstance(default, int) else (int, float)
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise InvalidConfig(f"{what} must be a number, got {value!r}")
-    return value
+    if kinds is int:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _mode(name) -> ris.Mode:
@@ -134,8 +142,8 @@ def _run_config(args) -> RunConfig:
         source=source,
         gp=gp,
         ris_mode=mode,
-        ris_magnitude=float(_typed(magnitude, 0.0, "ris.magnitude")),
-        ris_threshold=float(_typed(threshold, 0.0, "ris.threshold")),
+        ris_magnitude=_typed(magnitude, 0.0, "ris.magnitude"),
+        ris_threshold=_typed(threshold, 0.0, "ris.threshold"),
         out_dir=out_dir,
         seed=seed,
     )
@@ -145,7 +153,7 @@ def _synth_config(source: dict, seed: int | None) -> synthbench.SynthConfig:
     config = synthbench.SynthConfig(
         n=_typed(source.get("n", 500), 0, "synth.n"),
         seed=_typed(source.get("seed", seed if seed is not None else 0), 0, "synth.seed"),
-        noise_percent=float(_typed(source.get("noise_percent", 0.0), 0.0, "synth.noise_percent")),
+        noise_percent=_typed(source.get("noise_percent", 0.0), 0.0, "synth.noise_percent"),
     )
     if seed is not None:
         config = replace(config, seed=seed)
@@ -191,12 +199,14 @@ def _load_model(path: str) -> tuple[ExpressionTree, tuple[str, ...]]:
     return gpsr.model_from_document(doc)
 
 
-def _write_json(path: Path, doc: dict) -> None:
+def _write_json(path: Path, doc: dict) -> str:
+    """Write doc as sorted, indented JSON and return the text written."""
     try:
-        text = json.dumps(doc, indent=2, sort_keys=True)
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     except RecursionError:
         raise MalformedTree(f"{path.name}: the tree is nested too deeply to write") from None
-    path.write_text(text + "\n", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
+    return text
 
 
 def _parse_assignments(pairs: Sequence[str], what: str) -> dict[str, float]:
@@ -256,14 +266,13 @@ def cmd_fit(args) -> int:
     log.info("best expression: %s", best.tree.infix)
 
     run.out_dir.mkdir(parents=True, exist_ok=True)
-    doc = gpsr.model_document(best, predictors, run.gp)
-    _write_json(run.out_dir / "model.json", doc)
+    text = _write_json(run.out_dir / "model.json", gpsr.model_document(best, predictors, run.gp))
     gpsr.history_to_csv(result.history, run.out_dir / "history.csv")
     (run.out_dir / "expression.txt").write_text(best.tree.infix + "\n", encoding="utf-8")
     (run.out_dir / "best_tree.dot").write_text(to_dot(best.tree), encoding="utf-8")
     log.info("artifacts in %s: model.json history.csv expression.txt best_tree.dot", run.out_dir)
     if args.stdout:
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(text)
     return 0
 
 
@@ -306,7 +315,7 @@ def cmd_counterfactual(args) -> int:
 
     cfg = run.file
     scenario_values = {
-        name: float(_typed(value, 0.0, f"scenario value of {name!r}"))
+        name: _typed(value, 0.0, f"scenario value of {name!r}")
         for name, value in (cfg.get("scenario") or {}).items()
     }
     scenario_values.update(_parse_assignments(args.at or [], "--at"))
@@ -326,7 +335,7 @@ def cmd_counterfactual(args) -> int:
         intervention = ris.PerturbationSpec(
             variable,
             _mode(section.get("mode", ris.Mode.SET_TO.value)),
-            float(_typed(value, 0.0, "intervention value")),
+            _typed(value, 0.0, "intervention value"),
         )
     else:
         raise InvalidConfig("counterfactual needs an intervention (--set NAME=VALUE or config)")
@@ -393,10 +402,10 @@ def cmd_simplify(args) -> int:
         "threshold": run.ris_threshold,
         "magnitude": run.ris_magnitude,
     }
-    _write_json(run.out_dir / "simplified_model.json", doc)
+    text = _write_json(run.out_dir / "simplified_model.json", doc)
     (run.out_dir / "simplified_tree.dot").write_text(to_dot(simplified), encoding="utf-8")
     if args.stdout:
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(text)
     return 0
 
 

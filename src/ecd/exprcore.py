@@ -13,6 +13,7 @@ memory.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
@@ -315,9 +316,12 @@ def tree_from_json(doc: dict) -> ExpressionTree:
             tokens.append(str(item["var"]))
         elif "const" in item:
             try:
-                tokens.append(float(item["const"]))
-            except (TypeError, ValueError):
-                raise MalformedTree(f"constant is not a number: {item['const']!r}") from None
+                value = float(item["const"])
+            except (TypeError, ValueError, OverflowError):
+                value = math.nan
+            if not math.isfinite(value):
+                raise MalformedTree(f"constant is not a finite number: {item['const']!r}")
+            tokens.append(value)
         elif "op" in item:
             try:
                 tokens.append(Operator(item["op"]))

@@ -98,10 +98,9 @@ class GpConfig:
                 f"init_depth_range {self.init_depth_range} must satisfy "
                 f"1 <= min <= max <= max_depth ({self.max_depth})"
             )
-        if self.parsimony_coeff < 0:
-            raise InvalidConfig("parsimony_coeff must be nonnegative")
-        if self.fitness_threshold < 0:
-            raise InvalidConfig("fitness_threshold must be nonnegative")
+        for name in ("parsimony_coeff", "fitness_threshold"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvalidConfig(f"{name} must be nonnegative and finite")
         clo, chi = self.constant_range
         if not clo <= chi:
             raise InvalidConfig("constant_range must satisfy lo <= hi")

@@ -319,8 +319,10 @@ def simplify_by_impact(
     # Maximal subtrees whose operator nodes are all quiet: one pass from the
     # last node back marks every qualifying subtree (leaves qualify, an
     # operator when it is quiet and both operands qualify); a scan from the
-    # root then takes the highest qualifying operators, skipping their
-    # subtrees, so candidates are disjoint and in preorder.
+    # root then takes the highest qualifying operators with a finite Q2 value
+    # (the constant that replaces them), skipping their subtrees, so
+    # candidates are disjoint and in preorder.
+    q2_values = per_quartile[1][:, 0]
     tokens, ends = tree.tokens, tree.ends
     ok = [True] * tree.size
     for node_id in range(tree.size - 1, -1, -1):
@@ -331,7 +333,7 @@ def simplify_by_impact(
     candidates: list[int] = []
     node_id = 0
     while node_id < tree.size:
-        if ok[node_id] and isinstance(tokens[node_id], Operator):
+        if ok[node_id] and isinstance(tokens[node_id], Operator) and math.isfinite(q2_values[node_id]):
             candidates.append(node_id)
             node_id = ends[node_id]
         else:
@@ -340,7 +342,6 @@ def simplify_by_impact(
     if not candidates:
         return tree, []
 
-    q2_values = per_quartile[1][:, 0]
     original_outputs = [nodes[0, 0] for nodes in per_quartile]
 
     current = tree

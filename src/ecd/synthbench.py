@@ -9,10 +9,9 @@ Recovery is scored on support overlap and holdout error against clean Z.
 
 from __future__ import annotations
 
-import csv
+import math
 import time
 from dataclasses import dataclass, replace
-from statistics import median
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -30,22 +29,8 @@ from .exprcore import (
 )
 from .gpsr import FitResult, GpConfig, evolve
 
-NOISE_PRESETS = (0.0, 0.02, 0.05)
-
 # Fresh-data seed for scoring; far outside the usual experiment sweep range.
 HOLDOUT_SEED = 99991
-
-RUN_CSV_COLUMNS = ("noise", "seed", "best_mse", "support_jaccard", "runtime_sec", "best_expression")
-
-AGGREGATE_CSV_COLUMNS = (
-    "method",
-    "noise",
-    "n_runs",
-    "recovered",
-    "best_mse_min",
-    "best_mse_median",
-    "support_jaccard_mean",
-)
 
 
 @dataclass(frozen=True)
@@ -57,8 +42,8 @@ class SynthConfig:
     def validate(self) -> None:
         if self.n < 2:
             raise InvalidConfig("n must be at least 2")
-        if self.noise_percent < 0:
-            raise InvalidConfig("noise_percent must be nonnegative")
+        if not 0 <= self.noise_percent < math.inf:
+            raise InvalidConfig("noise_percent must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -67,7 +52,6 @@ class GroundTruth:
 
     response: str
     equations: Mapping[str, str]
-    ancestors: Mapping[str, frozenset[str]]
     direct_parents: Mapping[str, frozenset[str]]
     equivalent_supports: tuple[frozenset[str], ...]
 
@@ -91,13 +75,6 @@ GROUND_TRUTH = GroundTruth(
         "C": "A + B",
         "D": "2*A + 3",
         "Z": "B + C/D",
-    },
-    ancestors={
-        "A": frozenset(),
-        "B": frozenset(),
-        "C": frozenset({"A", "B"}),
-        "D": frozenset({"A"}),
-        "Z": frozenset({"A", "B", "C", "D"}),
     },
     direct_parents={
         "C": frozenset({"A", "B"}),
@@ -182,64 +159,9 @@ class RunRecord:
     best_expression: str
 
 
-@dataclass(frozen=True)
-class BenchmarkReport:
-    runs: tuple[RunRecord, ...]
-
-    def aggregate(self, recovery_mse: float = 1e-4) -> list[dict]:
-        """Per-noise summary rows. The method column allows results from other
-        algorithms to be appended by hand for side-by-side tables."""
-        noises = sorted({run.noise for run in self.runs})
-        rows = []
-        for noise in noises:
-            cell = [run for run in self.runs if run.noise == noise]
-            recovered = sum(
-                1
-                for run in cell
-                if run.best_mse < recovery_mse and run.support_jaccard == 1.0
-            )
-            rows.append(
-                {
-                    "method": "ecd",
-                    "noise": noise,
-                    "n_runs": len(cell),
-                    "recovered": recovered,
-                    "best_mse_min": min(run.best_mse for run in cell),
-                    "best_mse_median": median(run.best_mse for run in cell),
-                    "support_jaccard_mean": float(
-                        np.mean([run.support_jaccard for run in cell])
-                    ),
-                }
-            )
-        return rows
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(RUN_CSV_COLUMNS)
-            for run in self.runs:
-                writer.writerow(
-                    [
-                        repr(run.noise),
-                        run.seed,
-                        repr(run.best_mse),
-                        repr(run.support_jaccard),
-                        f"{run.runtime_sec:.3f}",
-                        run.best_expression,
-                    ]
-                )
-
-    def aggregate_to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(AGGREGATE_CSV_COLUMNS)
-            for row in self.aggregate():
-                writer.writerow([row[col] for col in AGGREGATE_CSV_COLUMNS])
-
-
 def run_benchmark(
     gp_config: GpConfig, synth_configs: Iterable[SynthConfig], repeats: int = 1
-) -> BenchmarkReport:
+) -> tuple[RunRecord, ...]:
     """Evolve once per (config, repeat) and score against the fixed holdout.
 
     Repeat r of a config offsets both the data seed and the search seed by r,
@@ -268,4 +190,4 @@ def run_benchmark(
                     best_expression=result.best.tree.infix,
                 )
             )
-    return BenchmarkReport(runs=tuple(runs))
+    return tuple(runs)

@@ -99,7 +99,7 @@ def noisy_r2(holdout):
         bench = run_benchmark(
             RECOVERY_GP, [SynthConfig(n=500, seed=0, noise_percent=noise)], repeats=10
         )
-        min_mse = min(run.best_mse for run in bench.runs)
+        min_mse = min(run.best_mse for run in bench)
         best[noise] = 1.0 - min_mse / variance
     return best
 

@@ -9,7 +9,7 @@ import pytest
 from ecd.cli import _write_json, main
 from ecd.errors import MalformedTree
 from ecd.exprcore import ExpressionTree, Operator, const_node, op_node, var_node
-from ecd.gpsr import GpConfig, Individual, model_document
+from ecd.gpsr import GpConfig, Individual, model_document, model_from_document
 
 
 @pytest.fixture(autouse=True)
@@ -159,10 +159,8 @@ class TestFit:
              "--out", str(out), "--stdout"]
         )
         assert code == 0
-        printed = json.loads(capsys.readouterr().out)
-        on_disk = json.loads((out / "model.json").read_text())
-        assert printed == on_disk
-        assert on_disk["variables"] == ["A", "B", "C", "D"]
+        assert capsys.readouterr().out == (out / "model.json").read_text()
+        assert json.loads((out / "model.json").read_text())["variables"] == ["A", "B", "C", "D"]
 
     def test_config_seed_beaten_by_flag(self, tmp_path):
         data_path = tmp_path / "data.csv"
@@ -454,8 +452,41 @@ class TestSimplify:
         assert doc["expression"] == "(B + 0)"
         assert doc["pruned_node_ids"] == [2]
         assert doc["simplified_from_size"] == 5
-        assert json.loads(capsys.readouterr().out) == doc
+        assert capsys.readouterr().out == (out / "simplified_model.json").read_text()
         assert (out / "simplified_tree.dot").exists()
+
+    def test_never_prunes_to_non_finite_constant(self, tmp_path):
+        # 1e308 * (5 + 5) is inf everywhere, so its deltas are NaN and it reads
+        # as quiet; C is mostly 0, so a quartile of C is 0 and C's relative
+        # perturbation falls back to an absolute shift
+        model_path = tmp_path / "model.json"
+        inf_subtree = op_node(
+            Operator.MUL,
+            const_node(1e308),
+            op_node(Operator.ADD, const_node(5.0), const_node(5.0)),
+        )
+        tree = ExpressionTree(
+            op_node(
+                Operator.PDIV,
+                var_node("B"),
+                op_node(Operator.PDIV, inf_subtree, var_node("C")),
+            )
+        )
+        write_model(model_path, tree, ["B", "C"])
+        data_path = tmp_path / "data.csv"
+        c = [0.0] * 16 + [17.0, 18.0, 19.0, 20.0]
+        write_csv(data_path, {"B": np.arange(1.0, 21.0), "C": c, "Z": np.arange(1.0, 21.0)})
+        out = tmp_path / "out"
+        code = main(
+            ["simplify", "--model", str(model_path), "--csv", str(data_path),
+             "--response", "Z", "--predictors", "B,C", "--out", str(out)]
+        )
+        assert code == 0
+        doc = json.loads((out / "simplified_model.json").read_text())
+        assert model_from_document(doc)[1] == ("B", "C")
+        # the inf subtree stays; the quiet finite 5 + 5 inside it is pruned
+        assert doc["pruned_node_ids"] == [5]
+        assert doc["expression"] == "(B / ((1e+308 * 10) / C))"
 
     def test_reactive_model_untouched(self, tmp_path):
         model_path, data_path = ris_fixture(tmp_path)
@@ -586,11 +617,75 @@ class TestMalformedModel:
         assert "repeat a name" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ris", "simplify", "counterfactual"])
+    @pytest.mark.parametrize("constant", ["1e999", "NaN", "-Infinity"])
+    def test_non_finite_constant(self, tmp_path, caplog, command, constant):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(
+            '{"variables": ["B"], "tree": {"op": "add", "children": '
+            '[{"var": "B"}, {"const": ' + constant + "}]}}",
+            encoding="utf-8",
+        )
+        data = ["--at", "B=2", "--set", "B=3"] if command == "counterfactual" else ["--synth"]
+        out = tmp_path / "out"
+        assert main([command, "--model", str(model_path), *data, "--out", str(out)]) == 1
+        assert "constant is not a finite number" in caplog.text
+        assert not out.exists()
+
     def test_non_numeric_constant(self, tmp_path):
         model_path = tmp_path / "model.json"
         model_path.write_text('{"variables": [], "tree": {"const": "x"}}', encoding="utf-8")
         code = main(["ris", "--model", str(model_path), "--synth", "--out", str(tmp_path)])
         assert code == 1
+
+
+HUGE = "1" + "0" * 400  # a JSON integer beyond float range
+TINY_GP = {"population_size": 8, "generations": 2}
+
+# Each float field of a run config: the command that reads it, and a config
+# document with "@" where the field's value goes.
+FLOAT_FIELDS = {
+    "gp.crossover_prob": ("fit", {"gp": dict(TINY_GP, crossover_prob="@")}),
+    "gp.mutation_prob": ("fit", {"gp": dict(TINY_GP, mutation_prob="@")}),
+    "gp.parsimony_coeff": ("fit", {"gp": dict(TINY_GP, parsimony_coeff="@")}),
+    "gp.fitness_threshold": ("fit", {"gp": dict(TINY_GP, fitness_threshold="@")}),
+    "gp.constant_range.lo": ("fit", {"gp": dict(TINY_GP, constant_range=["@", 5])}),
+    "gp.constant_range.hi": ("fit", {"gp": dict(TINY_GP, constant_range=[-5, "@"])}),
+    "synth.noise_percent": ("fit", {"gp": TINY_GP, "synth": {"noise_percent": "@"}}),
+    "ris.magnitude": ("simplify", {"ris": {"magnitude": "@"}}),
+    "ris.threshold": ("simplify", {"ris": {"threshold": "@"}}),
+    "scenario": ("counterfactual", {"scenario": {"B": "@", "C": 3, "D": 5}, "intervention": SET_D}),
+    "intervention": (
+        "counterfactual",
+        {"scenario": {"B": 2, "C": 3, "D": 5}, "intervention": dict(SET_D, value="@")},
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(FLOAT_FIELDS))
+@pytest.mark.parametrize(
+    "literal, like", [(HUGE, "1e999"), ("-" + HUGE, "-1e999"), ("NaN", "1e999")],
+    ids=["huge", "minus-huge", "nan"],
+)
+def test_config_float_beyond_range(tmp_path, field, literal, like):
+    """An out-of-range float field ends as 1e999 does, never in a traceback."""
+    command, doc = FLOAT_FIELDS[field]
+    model_path, data_path = ris_fixture(tmp_path)
+    argv = {
+        "fit": ["fit", "--synth", "--n", "20"],
+        "simplify": ["simplify", "--model", str(model_path), "--csv", str(data_path),
+                     "--response", "Z", "--predictors", "B,C,D"],
+        "counterfactual": ["counterfactual", "--model", str(model_path)],
+    }[command]
+
+    def run(value, name):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(doc).replace('"@"', value), encoding="utf-8")
+        return main([*argv, "--config", str(cfg), "--out", str(tmp_path / name)])
+
+    expected = run(like, "like")
+    assert expected in (0, 1)
+    assert run(literal, "got") == expected
 
 
 # sha256 of artifacts of one small fixed-seed fit and of the analyses of its

@@ -268,8 +268,8 @@ class TestJsonRoundTrip:
             tree_from_json({"op": "add", "children": [{"var": "A"}]})
 
     def test_non_numeric_constant_rejected(self):
-        for bad in ("x", None, [1.0]):
-            with pytest.raises(MalformedTree):
+        for bad in ("x", None, [1.0], math.inf, -math.inf, math.nan, 10**400, "inf"):
+            with pytest.raises(MalformedTree, match="not a finite number"):
                 tree_from_json({"const": bad})
 
     def test_extra_children_rejected(self):

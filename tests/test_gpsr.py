@@ -137,6 +137,10 @@ class TestGpConfig:
             {"constant_range": (-1e308, 1e308)},
             {"constant_range": (0.0, math.inf)},
             {"constant_range": (math.nan, 1.0)},
+            {"parsimony_coeff": math.nan},
+            {"parsimony_coeff": math.inf},
+            {"fitness_threshold": math.nan},
+            {"fitness_threshold": math.inf},
         ],
     )
     def test_invalid_configs(self, kwargs):

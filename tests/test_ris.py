@@ -114,7 +114,7 @@ class TestRis:
         assert report.impact == pytest.approx((2 + 3 / 5.25) - 2.6)
         deltas = [p - b for b, p in node_pairs(report)]
         assert deltas[0] == report.impact
-        # leaves B and C do not move; only the D leaf and its ancestors do
+        # leaves B and C do not move; only the D leaf and the nodes above it do
         assert deltas[1] == 0.0
         assert deltas[3] == 0.0
         assert deltas[4] == 5.0 * (1.0 + 0.05) - 5.0
