@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: gen | fit | ris | counterfactual | simplify. A run is configured
-by an optional JSON file (--config) plus flags; flags win over file values.
-Logs go to stderr, artifacts to files under --out, and stdout stays silent
-unless --stdout explicitly asks for the primary artifact there.
+by an optional JSON file (--config) plus flags; each flag overwrites the one
+field it names. Logs go to stderr, artifacts to files under --out, and stdout
+stays silent unless --stdout explicitly asks for the primary artifact there.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -24,18 +24,20 @@ from .exprcore import ExpressionTree, Operator, subtree_at, to_dot, tree_to_json
 log = logging.getLogger("ecd")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one command invocation needs, after merging file and flags."""
-
-    file: dict  # the --config document, {} without one
-    source: dict | None
-    gp: gpsr.GpConfig
-    ris_mode: ris.Mode
-    ris_magnitude: float
-    ris_threshold: float
-    out_dir: Path
-    seed: int | None
+# Every field a config file may set, as {section: {key: default}} with "" for
+# the top level. A value must be of its default's JSON kind (see _typed); a
+# field that has no default, such as data.csv, lists a value of its kind. A
+# flag overwrites the field its argparse dest names, as "section.key".
+FIELDS: dict[str, dict] = {
+    "": dict(seed=0, out="."),
+    "data": dict(csv="", response="", predictors=[""], missing_policy="drop_row", filter=[]),
+    "synth": asdict(synthbench.SynthConfig()),
+    "gp": dict(asdict(gpsr.GpConfig()), preset=""),
+    "ris": dict(mode=ris.Mode.RELATIVE.value, magnitude=ris.DEFAULT_MAGNITUDE, threshold=0.0),
+    "intervention": dict(variable="", mode=ris.Mode.SET_TO.value, value=0.0, magnitude=0.0),
+}
+# Sections of a config file; scenario maps any variable name to a number.
+SECTIONS = (*(section for section in FIELDS if section), "scenario")
 
 
 def _load_config_file(path: str) -> dict:
@@ -43,30 +45,47 @@ def _load_config_file(path: str) -> dict:
         doc = json.load(handle)
     if not isinstance(doc, dict):
         raise InvalidConfig("config file must contain a JSON object")
-    for key in ("data", "synth", "gp", "ris", "scenario", "intervention"):
+    for key in SECTIONS:
         if doc.get(key) is not None and not isinstance(doc[key], dict):
             raise InvalidConfig(f"config section {key!r} must be an object")
     return doc
 
 
 def _typed(value, default, what: str):
-    """value if it is a JSON value of default's kind: an int for an int, any
-    number (as a float) for a float, a list of as many such values for a tuple.
-    An int beyond float range reads as the infinity JSON's 1e999 parses to,
-    so one domain check rejects both."""
+    """value if it is a JSON value of default's kind: a string for a string,
+    an int for an int, any number (as a float) for a float, a list of as many
+    such values for a tuple, and a list of any length for a list, its items
+    of the kind of the list's first item if it has one. An int beyond float
+    range reads as the infinity JSON's 1e999 parses to, so one domain check
+    rejects both."""
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise InvalidConfig(f"{what} must be a list, got {value!r}")
+        return [_typed(v, default[0], what) for v in value] if default else value
     if isinstance(default, tuple):
         if not isinstance(value, list) or len(value) != len(default):
             raise InvalidConfig(f"{what} must be a list of {len(default)}, got {value!r}")
         return tuple(_typed(v, d, what) for v, d in zip(value, default))
-    kinds = int if isinstance(default, int) else (int, float)
+    kind = "a string" if isinstance(default, str) else "a number"
+    kinds = str if isinstance(default, str) else int if isinstance(default, int) else (int, float)
     if isinstance(value, bool) or not isinstance(value, kinds):
-        raise InvalidConfig(f"{what} must be a number, got {value!r}")
-    if kinds is int:
+        raise InvalidConfig(f"{what} must be {kind}, got {value!r}")
+    if not isinstance(default, float):
         return value
     try:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _checked(section: str, given: dict) -> dict:
+    """The given fields of one section, each checked by _typed."""
+    fields = dict.fromkeys(given, 0.0) if section == "scenario" else FIELDS[section]
+    unknown = sorted(set(given) - set(fields))
+    if unknown:
+        raise InvalidConfig(f"unknown {section or 'top-level'} config fields: {', '.join(unknown)}")
+    prefix = f"{section}." if section else ""
+    return {key: _typed(value, fields[key], prefix + key) for key, value in given.items()}
 
 
 def _mode(name) -> ris.Mode:
@@ -76,112 +95,68 @@ def _mode(name) -> ris.Mode:
         raise InvalidConfig(f"unknown perturbation mode {name!r}") from None
 
 
-def _gp_config(cfg: dict, seed: int | None) -> gpsr.GpConfig:
-    section = dict(cfg.get("gp") or {})
-    preset_name = section.pop("preset", None)
-    base = gpsr.preset(str(preset_name)) if preset_name else gpsr.GpConfig()
-    unknown = set(section) - set(base.__dataclass_fields__)
-    if unknown:
-        raise InvalidConfig(f"unknown gp config fields: {', '.join(sorted(unknown))}")
-    for name, value in section.items():
-        section[name] = _typed(value, getattr(base, name), f"gp.{name}")
-    config = replace(base, **section) if section else base
-    if seed is not None:
-        config = replace(config, seed=seed)
-    config.validate()
-    return config
-
-
-def _run_config(args) -> RunConfig:
-    cfg = _load_config_file(args.config) if args.config else {}
-
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is not None:
-        _typed(seed, 0, "seed")
-
-    # Flags override the file's data or synth section; --csv picks the CSV
-    # source and --synth the synthetic one.
-    data_cfg, synth_cfg = cfg.get("data"), cfg.get("synth")
-    data_flags = {key: getattr(args, key, None) for key in ("csv", "response", "predictors")}
-    data_flags = {key: value for key, value in data_flags.items() if value}
-    if "predictors" in data_flags:
-        data_flags["predictors"] = [p.strip() for p in args.predictors.split(",") if p.strip()]
-    if data_flags:
-        data_cfg = {**(data_cfg or {}), **data_flags}
-    if "csv" in data_flags:
-        synth_cfg = None
+def _run_config(args) -> dict:
+    """The config file as {section: {key: value}}, "" for the top level, with
+    each given flag written over the field its dest names and every field
+    checked. --csv picks the CSV source and --synth the synthetic one; only
+    the chosen source's section is kept. A top-level seed is every seed;
+    "gp" and "synth" hold validated configs and "ris" holds every ris field."""
+    doc = _load_config_file(args.config) if args.config else {}
+    cfg = {"": {k: v for k, v in doc.items() if k not in SECTIONS}, "gp": {}, "ris": {}}
+    cfg.update((section, doc[section]) for section in SECTIONS if doc.get(section) is not None)
+    flags = {dest: value for dest, value in vars(args).items() if "." in dest and value is not None}
+    sources = {section for section in ("data", "synth") if section in cfg}
+    if any(dest.startswith("data.") for dest in flags):
+        sources = {"data"} if "data.csv" in flags else sources | {"data"}
     if getattr(args, "synth", False):
-        synth_cfg, data_cfg = synth_cfg or {}, None
-    if synth_cfg is not None:
-        synth_flags = {"n": getattr(args, "n", None), "noise_percent": getattr(args, "noise", None)}
-        synth_cfg = {**synth_cfg, **{k: v for k, v in synth_flags.items() if v is not None}}
+        sources = {"synth"}
+    for dest, value in flags.items():
+        section, _, key = dest.partition(".")
+        cfg[section] = {**cfg.get(section, {}), key: value}
+    if getattr(args, "at", None):
+        cfg["scenario"] = {**cfg.get("scenario", {}), **_parse_assignments(args.at, "--at")}
+    if getattr(args, "set", None):
+        [(variable, value)] = _parse_assignments([args.set], "--set").items()
+        cfg["intervention"] = {"variable": variable, "value": value}
+    cfg = {section: _checked(section, given) for section, given in cfg.items()}
 
-    source: dict | None = None
-    if data_cfg is not None and synth_cfg is not None:
+    if len(sources) > 1:
         raise InvalidConfig("configure exactly one data source (csv or synth), not both")
-    if data_cfg is not None:
-        source = {"kind": "csv", **data_cfg}
-    elif synth_cfg is not None:
-        source = {"kind": "synth", **synth_cfg}
-
-    gp = _gp_config(cfg, seed)
-
-    ris_cfg = cfg.get("ris") or {}
-    mode = _mode(getattr(args, "mode", None) or ris_cfg.get("mode", ris.Mode.RELATIVE.value))
-    magnitude = getattr(args, "magnitude", None)
-    if magnitude is None:
-        magnitude = ris_cfg.get("magnitude", ris.DEFAULT_MAGNITUDE)
-    threshold = getattr(args, "threshold", None)
-    if threshold is None:
-        threshold = ris_cfg.get("threshold", 0.0)
-
-    out_dir = Path(args.out if args.out else cfg.get("out", "."))
-
-    return RunConfig(
-        file=cfg,
-        source=source,
-        gp=gp,
-        ris_mode=mode,
-        ris_magnitude=_typed(magnitude, 0.0, "ris.magnitude"),
-        ris_threshold=_typed(threshold, 0.0, "ris.threshold"),
-        out_dir=out_dir,
-        seed=seed,
-    )
+    for section in ("data", "synth"):
+        cfg[section] = cfg.get(section, {}) if section in sources else None
+    for section in ("gp", "synth"):
+        if cfg[section] is not None and "seed" in cfg[""]:
+            cfg[section]["seed"] = cfg[""]["seed"]
+    preset = cfg["gp"].pop("preset", "")
+    cfg["gp"] = gpsr.preset(preset, **cfg["gp"]) if preset else gpsr.GpConfig(**cfg["gp"])
+    cfg["gp"].validate()
+    if cfg["synth"] is not None:
+        cfg["synth"] = synthbench.SynthConfig(**cfg["synth"])
+        cfg["synth"].validate()
+    cfg["ris"] = {**FIELDS["ris"], **cfg["ris"]}
+    cfg["ris"]["mode"] = _mode(cfg["ris"]["mode"])
+    return cfg
 
 
-def _synth_config(source: dict, seed: int | None) -> synthbench.SynthConfig:
-    config = synthbench.SynthConfig(
-        n=_typed(source.get("n", 500), 0, "synth.n"),
-        seed=_typed(source.get("seed", seed if seed is not None else 0), 0, "synth.seed"),
-        noise_percent=_typed(source.get("noise_percent", 0.0), 0.0, "synth.noise_percent"),
-    )
-    if seed is not None:
-        config = replace(config, seed=seed)
-    config.validate()
-    return config
+def _out_dir(cfg: dict) -> Path:
+    out = Path(cfg[""].get("out", "."))
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
-def _resolve_dataset(run: RunConfig) -> tuple[dataio.Dataset, str, list[str]]:
+def _resolve_dataset(cfg: dict) -> tuple[dataio.Dataset, str, list[str]]:
     """(dataset, response, predictors) from whichever source is configured."""
-    if run.source is None:
-        raise InvalidConfig("no data source configured (need data.csv or synth)")
-    if run.source["kind"] == "synth":
-        config = _synth_config(run.source, run.seed)
-        data, truth = synthbench.generate(config)
+    if cfg["synth"] is not None:
+        data, truth = synthbench.generate(cfg["synth"])
         predictors = [n for n in data.names if n != truth.response]
         return data, truth.response, predictors
-    source = run.source
-    if "csv" not in source:
-        raise InvalidConfig("csv data source needs a csv path")
-    if "response" not in source or "predictors" not in source:
-        raise InvalidConfig("csv data source needs response and predictors")
-    roles = dataio.RoleConfig(
-        response=str(source["response"]),
-        predictors=tuple(source["predictors"]),
-    )
-    data = dataio.load_csv(
-        source["csv"], roles, source.get("missing_policy", "drop_row")
-    )
+    source = cfg["data"]
+    if source is None:
+        raise InvalidConfig("no data source configured (need data.csv or synth)")
+    if not {"csv", "response", "predictors"} <= source.keys():
+        raise InvalidConfig("csv data source needs csv, response and predictors")
+    roles = dataio.RoleConfig(response=source["response"], predictors=source["predictors"])
+    data = dataio.load_csv(source["csv"], roles, source.get("missing_policy", "drop_row"))
     filter_spec = source.get("filter", [])
     if filter_spec:
         before = data.n_rows
@@ -223,13 +198,13 @@ def _parse_assignments(pairs: Sequence[str], what: str) -> dict[str, float]:
 
 
 def cmd_gen(args) -> int:
-    run = _run_config(args)
-    config = _synth_config(run.source, run.seed)
+    cfg = _run_config(args)
+    config = cfg["synth"]
     data, truth = synthbench.generate(config)
 
-    run.out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = run.out_dir / "synthetic.csv"
-    truth_path = run.out_dir / "synthetic_truth.json"
+    out = _out_dir(cfg)
+    csv_path = out / "synthetic.csv"
+    truth_path = out / "synthetic_truth.json"
     data.to_csv(csv_path)
     _write_json(
         truth_path,
@@ -250,14 +225,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    run = _run_config(args)
-    data, response, predictors = _resolve_dataset(run)
+    cfg = _run_config(args)
+    data, response, predictors = _resolve_dataset(cfg)
+    gp = cfg["gp"]
     log.info(
         "fitting %s ~ %s on %d rows (population %d, %d generations, seed %d)",
-        response, " + ".join(predictors), data.n_rows,
-        run.gp.population_size, run.gp.generations, run.gp.seed,
+        response, " + ".join(predictors), data.n_rows, gp.population_size, gp.generations, gp.seed,
     )
-    result = gpsr.evolve(data, response, run.gp)
+    result = gpsr.evolve(data, response, gp)
     best = result.best
     log.info(
         "best fitness %.6g (raw mse %.6g), stopped by %s after %d generation(s)",
@@ -265,38 +240,38 @@ def cmd_fit(args) -> int:
     )
     log.info("best expression: %s", best.tree.infix)
 
-    run.out_dir.mkdir(parents=True, exist_ok=True)
-    text = _write_json(run.out_dir / "model.json", gpsr.model_document(best, predictors, run.gp))
-    gpsr.history_to_csv(result.history, run.out_dir / "history.csv")
-    (run.out_dir / "expression.txt").write_text(best.tree.infix + "\n", encoding="utf-8")
-    (run.out_dir / "best_tree.dot").write_text(to_dot(best.tree), encoding="utf-8")
-    log.info("artifacts in %s: model.json history.csv expression.txt best_tree.dot", run.out_dir)
+    out = _out_dir(cfg)
+    text = _write_json(out / "model.json", gpsr.model_document(best, predictors, gp))
+    gpsr.history_to_csv(result.history, out / "history.csv")
+    (out / "expression.txt").write_text(best.tree.infix + "\n", encoding="utf-8")
+    (out / "best_tree.dot").write_text(to_dot(best.tree), encoding="utf-8")
+    log.info("artifacts in %s: model.json history.csv expression.txt best_tree.dot", out)
     if args.stdout:
         sys.stdout.write(text)
     return 0
 
 
 def cmd_ris(args) -> int:
-    run = _run_config(args)
+    cfg = _run_config(args)
     tree, variables = _load_model(args.model)
-    data, _, _ = _resolve_dataset(run)
+    data, _, _ = _resolve_dataset(cfg)
     predictors = list(variables)
     table = ris.quartile_impact_table(
         data=data,
         tree=tree,
         predictors=predictors,
-        perturbation_mode=run.ris_mode,
-        magnitude=run.ris_magnitude,
+        perturbation_mode=cfg["ris"]["mode"],
+        magnitude=cfg["ris"]["magnitude"],
     )
 
-    run.out_dir.mkdir(parents=True, exist_ok=True)
-    (run.out_dir / "impact_table.txt").write_text(table.to_text(), encoding="utf-8")
-    _write_json(run.out_dir / "impact_table.json", table.to_json())
+    out = _out_dir(cfg)
+    (out / "impact_table.txt").write_text(table.to_text(), encoding="utf-8")
+    _write_json(out / "impact_table.json", table.to_json())
     for name, cells in table.reports.items():
         for label, report in zip(ris.QUARTILE_LABELS, cells):
             dot = to_dot(tree, report.annotations())
-            (run.out_dir / f"impact_{name}_{label}.dot").write_text(dot, encoding="utf-8")
-    log.info("impact table and per-cell DOT files written to %s", run.out_dir)
+            (out / f"impact_{name}_{label}.dot").write_text(dot, encoding="utf-8")
+    log.info("impact table and per-cell DOT files written to %s", out)
     if args.stdout:
         sys.stdout.write(table.to_text())
     return 0
@@ -310,35 +285,18 @@ def _describe_node(tree: ExpressionTree, node_id: int) -> str:
 
 
 def cmd_counterfactual(args) -> int:
-    run = _run_config(args)
+    cfg = _run_config(args)
     tree, variables = _load_model(args.model)
 
-    cfg = run.file
-    scenario_values = {
-        name: _typed(value, 0.0, f"scenario value of {name!r}")
-        for name, value in (cfg.get("scenario") or {}).items()
-    }
-    scenario_values.update(_parse_assignments(args.at or [], "--at"))
-    if not scenario_values:
+    if not cfg.get("scenario"):
         raise InvalidConfig("counterfactual needs a scenario (--at NAME=VALUE or config)")
-    scenario = ris.BaselineSpec(scenario_values, label="scenario")
-
-    if args.set:
-        assignments = _parse_assignments([args.set], "--set")
-        variable, new_value = next(iter(assignments.items()))
-        intervention = ris.PerturbationSpec(variable, ris.Mode.SET_TO, new_value)
-    elif cfg.get("intervention") is not None:
-        section = cfg["intervention"]
-        variable, value = section.get("variable"), section.get("value", section.get("magnitude"))
-        if not isinstance(variable, str) or value is None:
-            raise InvalidConfig("intervention needs variable plus value (set_to) or magnitude")
-        intervention = ris.PerturbationSpec(
-            variable,
-            _mode(section.get("mode", ris.Mode.SET_TO.value)),
-            _typed(value, 0.0, "intervention value"),
-        )
-    else:
+    scenario = ris.BaselineSpec(cfg["scenario"], label="scenario")
+    section = cfg.get("intervention", {})
+    value = section.get("value", section.get("magnitude"))
+    if "variable" not in section or value is None:
         raise InvalidConfig("counterfactual needs an intervention (--set NAME=VALUE or config)")
+    mode = _mode(section.get("mode", ris.Mode.SET_TO.value))
+    intervention = ris.PerturbationSpec(section["variable"], mode, value)
 
     report = ris.counterfactual(tree, scenario, intervention)
     annotations = report.annotations()
@@ -360,11 +318,11 @@ def cmd_counterfactual(args) -> int:
         lines.extend(f"  node {i} {_describe_node(tree, i)}: {annotations[i]}" for i in top)
     text = "\n".join(lines) + "\n"
 
-    run.out_dir.mkdir(parents=True, exist_ok=True)
-    (run.out_dir / "counterfactual.txt").write_text(text, encoding="utf-8")
-    _write_json(run.out_dir / "counterfactual.json", report.to_json())
-    (run.out_dir / "counterfactual.dot").write_text(to_dot(tree, annotations), encoding="utf-8")
-    log.info("counterfactual report written to %s", run.out_dir)
+    out = _out_dir(cfg)
+    (out / "counterfactual.txt").write_text(text, encoding="utf-8")
+    _write_json(out / "counterfactual.json", report.to_json())
+    (out / "counterfactual.dot").write_text(to_dot(tree, annotations), encoding="utf-8")
+    log.info("counterfactual report written to %s", out)
     sys.stderr.write(text)
     if args.stdout:
         sys.stdout.write(text)
@@ -372,15 +330,12 @@ def cmd_counterfactual(args) -> int:
 
 
 def cmd_simplify(args) -> int:
-    run = _run_config(args)
+    cfg = _run_config(args)
     tree, variables = _load_model(args.model)
-    data, _, _ = _resolve_dataset(run)
+    data, _, _ = _resolve_dataset(cfg)
+    magnitude, threshold = cfg["ris"]["magnitude"], cfg["ris"]["threshold"]
     simplified, pruned = ris.simplify_by_impact(
-        tree,
-        data,
-        list(variables),
-        magnitude=run.ris_magnitude,
-        threshold=run.ris_threshold,
+        tree, data, list(variables), magnitude=magnitude, threshold=threshold
     )
     log.info(
         "size %d -> %d, pruned %d subtree(s)%s",
@@ -390,7 +345,7 @@ def cmd_simplify(args) -> int:
         f" at node id(s) {pruned}" if pruned else "",
     )
 
-    run.out_dir.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     doc = {
         "schema_version": gpsr.MODEL_SCHEMA_VERSION,
         "operators": [op.value for op in Operator],
@@ -399,11 +354,11 @@ def cmd_simplify(args) -> int:
         "expression": simplified.infix,
         "simplified_from_size": tree.size,
         "pruned_node_ids": list(pruned),
-        "threshold": run.ris_threshold,
-        "magnitude": run.ris_magnitude,
+        "threshold": threshold,
+        "magnitude": magnitude,
     }
-    text = _write_json(run.out_dir / "simplified_model.json", doc)
-    (run.out_dir / "simplified_tree.dot").write_text(to_dot(simplified), encoding="utf-8")
+    text = _write_json(out / "simplified_model.json", doc)
+    (out / "simplified_tree.dot").write_text(to_dot(simplified), encoding="utf-8")
     if args.stdout:
         sys.stdout.write(text)
     return 0
@@ -411,20 +366,25 @@ def cmd_simplify(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON run-config file")
-    parser.add_argument("--seed", type=int, help="override every configured seed")
-    parser.add_argument("--out", help="output directory (default: from config or cwd)")
+    parser.add_argument("--seed", dest=".seed", metavar="N", type=int, help="override every seed")
+    parser.add_argument("--out", dest=".out", metavar="DIR", help="output directory (default: cwd)")
     parser.add_argument(
         "--stdout", action="store_true", help="also print the primary artifact to stdout"
     )
 
 
 def _add_data_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--csv", help="input CSV path")
-    parser.add_argument("--response", help="response column name")
-    parser.add_argument("--predictors", help="comma-separated predictor columns")
+    parser.add_argument("--csv", dest="data.csv", help="input CSV path")
+    parser.add_argument("--response", dest="data.response", help="response column name")
+    parser.add_argument(
+        "--predictors", dest="data.predictors", help="comma-separated predictor columns",
+        type=lambda text: [p.strip() for p in text.split(",") if p.strip()],
+    )
     parser.add_argument("--synth", action="store_true", help="use the synthetic generator")
-    parser.add_argument("--n", type=int, help="synthetic sample count")
-    parser.add_argument("--noise", type=float, help="synthetic noise percent (e.g. 0.05)")
+    parser.add_argument("--n", dest="synth.n", type=int, help="synthetic sample count")
+    parser.add_argument(
+        "--noise", dest="synth.noise_percent", type=float, help="synthetic noise, e.g. 0.05"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write a synthetic dataset and its ground truth")
     _add_common(p)
-    p.add_argument("--n", type=int, help="sample count (default 500)")
-    p.add_argument("--noise", type=float, help="noise percent (default 0)")
+    p.add_argument("--n", dest="synth.n", type=int, help="sample count (default 500)")
+    p.add_argument("--noise", dest="synth.noise_percent", type=float, help="noise percent")
     p.set_defaults(func=cmd_gen, synth=True)
 
     p = sub.add_parser("fit", help="evolve an expression tree for a response column")
@@ -450,8 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_data_flags(p)
     p.add_argument("--model", required=True, help="model JSON from fit")
-    p.add_argument("--mode", choices=[m.value for m in ris.Mode], help="perturbation mode")
-    p.add_argument("--magnitude", type=float, help="perturbation magnitude")
+    p.add_argument(
+        "--mode", dest="ris.mode", choices=[m.value for m in ris.Mode], help="perturbation mode"
+    )
+    p.add_argument("--magnitude", dest="ris.magnitude", type=float, help="perturbation magnitude")
     p.set_defaults(func=cmd_ris)
 
     p = sub.add_parser("counterfactual", help="what-if analysis on a scenario")
@@ -465,8 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_data_flags(p)
     p.add_argument("--model", required=True, help="model JSON from fit")
-    p.add_argument("--magnitude", type=float, help="perturbation magnitude")
-    p.add_argument("--threshold", type=float, help="maximum tolerated output change")
+    p.add_argument("--magnitude", dest="ris.magnitude", type=float, help="perturbation magnitude")
+    p.add_argument(
+        "--threshold", dest="ris.threshold", type=float, help="maximum tolerated output change"
+    )
     p.set_defaults(func=cmd_simplify)
 
     return parser

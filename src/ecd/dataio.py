@@ -187,7 +187,7 @@ def filter_rows(data: Dataset, predicate_spec: Sequence) -> Dataset:
             raise InvalidPredicate(f"unknown comparison {op!r}")
         try:
             lo, hi = map(float, value) if op == "range" else (float(value),) * 2
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise InvalidPredicate(f"{op} needs a number, or [lo, hi] for range: {clause!r}") from None
         mask &= (col >= lo) & (col <= hi) if op == "range" else _COMPARATORS[op](col, lo)
     return Dataset({name: col[mask] for name, col in data.columns.items()})

@@ -313,11 +313,13 @@ def tree_from_json(doc: dict) -> ExpressionTree:
         if not isinstance(item, dict):
             raise MalformedTree(f"expected an object, got {type(item).__name__}")
         if "var" in item:
-            tokens.append(str(item["var"]))
+            if not isinstance(item["var"], str) or not item["var"]:
+                raise MalformedTree(f"variable name must be a nonempty string: {item['var']!r}")
+            tokens.append(item["var"])
         elif "const" in item:
-            try:
-                value = float(item["const"])
-            except (TypeError, ValueError, OverflowError):
+            try:  # a JSON number; float() would also take a string or a bool
+                value = math.nan if isinstance(item["const"], (str, bool)) else float(item["const"])
+            except (TypeError, OverflowError):
                 value = math.nan
             if not math.isfinite(value):
                 raise MalformedTree(f"constant is not a finite number: {item['const']!r}")

@@ -90,6 +90,8 @@ class GpConfig:
                 raise InvalidConfig(f"{name} must lie in [0, 1], got {p}")
         if self.tournament_size < 1:
             raise InvalidConfig("tournament_size must be at least 1")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be nonnegative, got {self.seed}")
         if not 0 <= self.elitism_count < self.population_size:
             raise InvalidConfig("elitism_count must be in [0, population_size)")
         lo, hi = self.init_depth_range
@@ -539,10 +541,12 @@ def model_from_document(doc: dict) -> tuple[ExpressionTree, tuple[str, ...]]:
     if not isinstance(operators, list) or not all(op in known for op in operators):
         raise MalformedTree(f"model operators {operators!r} are not all of {known}")
     try:
-        tree = tree_from_json(doc["tree"])
-        variables = tuple(str(v) for v in doc["variables"])
+        tree, variables = tree_from_json(doc["tree"]), doc["variables"]
     except KeyError as exc:
         raise MalformedTree(f"model document lacks required key: {exc}") from None
+    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+        raise MalformedTree(f"model variables must be a list of strings, got {variables!r}")
+    variables = tuple(variables)
     if len(set(variables)) != len(variables):
         raise MalformedTree(f"model variables {list(variables)} repeat a name")
     extra = dependency_set(tree) - set(variables)

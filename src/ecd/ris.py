@@ -312,8 +312,10 @@ def simplify_by_impact(
     baselines = quartile_baselines(data, predictors)
     specs = [PerturbationSpec(name, Mode.RELATIVE, magnitude) for name in predictors]
     per_quartile = [_scenario_nodes(tree, baseline, specs)[0] for baseline in baselines]
-    # Every node's largest |delta| over all cells; fmax skips NaN deltas.
-    deltas = np.hstack([np.abs(nodes[:, 1:] - nodes[:, :1]) for nodes in per_quartile])
+    # Every node's largest |delta| over all cells; fmax skips NaN deltas, such
+    # as inf - inf at a node that is inf at a baseline.
+    with np.errstate(invalid="ignore"):
+        deltas = np.hstack([np.abs(nodes[:, 1:] - nodes[:, :1]) for nodes in per_quartile])
     max_delta = np.fmax.reduce(deltas, axis=1, initial=0.0).tolist()
 
     # Maximal subtrees whose operator nodes are all quiet: one pass from the

@@ -42,6 +42,8 @@ class SynthConfig:
     def validate(self) -> None:
         if self.n < 2:
             raise InvalidConfig("n must be at least 2")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be nonnegative, got {self.seed}")
         if not 0 <= self.noise_percent < math.inf:
             raise InvalidConfig("noise_percent must be nonnegative and finite")
 

@@ -110,6 +110,15 @@ class TestGen:
         assert json.loads((out / "synthetic_truth.json").read_text())["n"] == 30
 
 
+    def test_config_with_malformed_data_section(self, tmp_path, caplog):
+        # gen reads no CSV, but every field of the file is still checked
+        cfg = tmp_path / "config.json"
+        write_config(cfg, {"data": {"csv": 1.5}, "synth": {"n": 25}})
+        out = tmp_path / "out"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "data.csv must be a string" in caplog.text
+        assert not out.exists()
+
 class TestFit:
     def test_csv_fit_writes_artifacts(self, tmp_path):
         data_path = tmp_path / "data.csv"
@@ -219,6 +228,12 @@ class TestFit:
             ({"gp": {"init_depth_range": [2]}}, "gp.init_depth_range must be a list of 2"),
             ({"seed": "x"}, "seed must be a number"),
             ({"synth": {"n": "many"}}, "synth.n must be a number"),
+            ({"outdir": "x"}, "unknown top-level config fields: outdir"),
+            ({"synth": {"size": 5}}, "unknown synth config fields: size"),
+            ({"ris": {"magnitde": 0.1}}, "unknown ris config fields: magnitde"),
+            ({"intervention": {"variable": "B", "by": 2}}, "unknown intervention config fields: by"),
+            ({"gp": {"preset": 3}}, "gp.preset must be a string, got 3"),
+            ({"data": {"predictors": "AB"}}, "data.predictors must be a list"),
         ],
     )
     def test_malformed_config_is_invalid_config(self, tmp_path, caplog, doc, message):
@@ -227,6 +242,59 @@ class TestFit:
         code = main(["fit", "--synth", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 1
         assert message in caplog.text
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"predictors": "AB"}, "data.predictors must be a list, got 'AB'"),
+            ({"predictors": 5}, "data.predictors must be a list"),
+            ({"predictors": ["A", 1]}, "data.predictors must be a string, got 1"),
+            ({"csv": 1.5}, "data.csv must be a string"),
+            ({"csv": ["x"]}, "data.csv must be a string"),
+            ({"response": 3}, "data.response must be a string"),
+            ({"missing_policy": None}, "data.missing_policy must be a string"),
+            ({"filter": {}}, "data.filter must be a list"),
+            ({"sep": ";"}, "unknown data config fields: sep"),
+        ],
+    )
+    def test_malformed_data_section(self, tmp_path, caplog, data, message):
+        data_path = tmp_path / "data.csv"
+        regression_csv(data_path)
+        section = {"csv": str(data_path), "response": "Z", "predictors": ["A", "B"], **data}
+        cfg = tmp_path / "config.json"
+        write_config(cfg, dict(SMALL_GP, data=section))
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 1
+        assert message in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [5, None])
+    def test_out_must_be_a_string(self, tmp_path, monkeypatch, caplog, value):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path / "config.json", dict(SMALL_GP, out=value))
+        assert main(["fit", "--synth", "--n", "20", "--config", "config.json"]) == 1
+        assert "out must be a string" in caplog.text
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["fit", "--synth", "--seed", "-1"], SMALL_GP),
+            (["gen", "--seed", "-1"], {}),
+            (["fit", "--synth"], dict(SMALL_GP, seed=-1)),
+            (["fit", "--synth"], {"gp": dict(SMALL_GP["gp"], seed=-3)}),
+            (["fit", "--synth"], dict(SMALL_GP, synth={"seed": -3})),
+            (["gen"], {"synth": {"seed": -3}}),
+        ],
+        ids=["flag-fit", "flag-gen", "top-level", "gp.seed", "synth.seed-fit", "synth.seed-gen"],
+    )
+    def test_negative_seed(self, tmp_path, caplog, argv, doc):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, doc)
+        out = tmp_path / "out"
+        assert main([*argv, "--n", "20", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "seed must be nonnegative" in caplog.text
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "bounds", [[-1e308, 1e308], [0.0, 1e999], [-1e999, -1e999], [0, 10**400]]
@@ -355,6 +423,24 @@ class TestCounterfactual:
         doc = json.loads((out / "counterfactual.json").read_text())
         assert doc["impact"] == pytest.approx(-0.1)
 
+    def test_flags_overwrite_scenario_and_intervention(self, tmp_path):
+        model_path = tmp_path / "model.json"
+        bcd_model(model_path)
+        cfg = tmp_path / "config.json"
+        write_config(
+            cfg,
+            {"scenario": {"B": 2, "C": 3, "D": 9}, "intervention": {"variable": "B", "value": 7}},
+        )
+        out = tmp_path / "out"
+        code = main(
+            ["counterfactual", "--model", str(model_path), "--config", str(cfg),
+             "--at", "D=5", "--set", "D=6", "--out", str(out)]
+        )
+        assert code == 0
+        doc = json.loads((out / "counterfactual.json").read_text())
+        assert doc["variable"] == "D"
+        assert doc["impact"] == pytest.approx(-0.1)
+
     def test_missing_scenario_or_intervention(self, tmp_path):
         model_path = tmp_path / "model.json"
         bcd_model(model_path)
@@ -369,20 +455,20 @@ class TestCounterfactual:
             ({"scenario": 5, "intervention": SET_D}, "'scenario' must be an object"),
             (
                 {"scenario": {"B": "x", "C": 3, "D": 5}, "intervention": SET_D},
-                "scenario value of 'B' must be a number",
+                "scenario.B must be a number",
             ),
             ({"scenario": {"B": 2, "C": 3, "D": 5}, "intervention": 3}, "'intervention' must be an object"),
             (
                 {"scenario": {"B": 2, "C": 3, "D": 5}, "intervention": dict(SET_D, value="2.5")},
-                "intervention value must be a number",
+                "intervention.value must be a number",
             ),
             (
                 {"scenario": {"B": 2, "C": 3, "D": 5}, "intervention": dict(SET_D, value=True)},
-                "intervention value must be a number",
+                "intervention.value must be a number",
             ),
             (
                 {"scenario": {"B": 2, "C": 3, "D": 5}, "intervention": dict(SET_D, variable=4)},
-                "intervention needs variable",
+                "intervention.variable must be a string",
             ),
             (
                 {"scenario": {"B": 2, "C": 3, "D": 5}, "intervention": dict(SET_D, mode="scale")},
@@ -455,10 +541,11 @@ class TestSimplify:
         assert capsys.readouterr().out == (out / "simplified_model.json").read_text()
         assert (out / "simplified_tree.dot").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_never_prunes_to_non_finite_constant(self, tmp_path):
         # 1e308 * (5 + 5) is inf everywhere, so its deltas are NaN and it reads
-        # as quiet; C is mostly 0, so a quartile of C is 0 and C's relative
-        # perturbation falls back to an absolute shift
+        # as quiet, without a numpy warning; C is mostly 0, so a quartile of C
+        # is 0 and C's relative perturbation falls back to an absolute shift
         model_path = tmp_path / "model.json"
         inf_subtree = op_node(
             Operator.MUL,
@@ -637,6 +724,31 @@ class TestMalformedModel:
         model_path.write_text('{"variables": [], "tree": {"const": "x"}}', encoding="utf-8")
         code = main(["ris", "--model", str(model_path), "--synth", "--out", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"variables": "BC"}, "model variables must be a list of strings"),
+            ({"variables": 5}, "model variables must be a list of strings"),
+            ({"variables": ["B", 3]}, "model variables must be a list of strings"),
+            ({"tree": {"const": "1.5"}}, "constant is not a finite number"),
+            ({"tree": {"const": True}}, "constant is not a finite number"),
+            ({"tree": {"var": 1}}, "variable name must be a nonempty string"),
+            ({"tree": {"var": ""}}, "variable name must be a nonempty string"),
+        ],
+    )
+    def test_slot_of_wrong_type(self, tmp_path, caplog, doc, message):
+        model_path = tmp_path / "model.json"
+        tree = {"op": "add", "children": [{"var": "B"}, {"var": "C"}]}
+        model_path.write_text(json.dumps({"variables": ["B", "C"], "tree": tree, **doc}))
+        out = tmp_path / "out"
+        code = main(
+            ["counterfactual", "--model", str(model_path), "--at", "B=2", "--at", "C=3",
+             "--set", "B=3", "--out", str(out)]
+        )
+        assert code == 1
+        assert message in caplog.text
+        assert not out.exists()
 
 
 HUGE = "1" + "0" * 400  # a JSON integer beyond float range

@@ -155,6 +155,11 @@ class TestFilterRows:
         with pytest.raises(MissingColumn):
             filter_rows(self.data, [["Height", "==", 1]])
 
+    def test_value_beyond_float_range(self):
+        for spec in ([["Age", ">=", 10**400]], [["Age", "range", [0, 10**400]]]):
+            with pytest.raises(InvalidPredicate):
+                filter_rows(self.data, spec)
+
     def test_non_numeric_values_and_non_list_spec(self):
         for spec in ([["Age", ">=", "old"]], [["Age", "range", ["a", 70]]],
                      [["Age", "range", [1, 2, 3]]], [["Age", "==", None]], [["Age", ["=="], 1]], 5):

@@ -5,12 +5,17 @@ the suite's time barely moves.
 """
 
 import json
+import math
+import os
+import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import VARS, naive_eval
+from ecd.cli import FIELDS, main
 from ecd.dataio import Dataset
 from ecd.exprcore import (
     ExpressionTree,
@@ -88,3 +93,90 @@ def test_crossover_and_mutation_stay_within_max_depth(a, b, slack, seed):
     for child in crossover(a, b, max_depth, rng) + (mutate(a, VARS, config, rng),):
         assert ExpressionTree(child.tokens) == child
         assert child.depth <= max_depth
+
+
+# Never a traceback: every config field, scenario value and model-document
+# slot takes boundary values and small arbitrary JSON, and each run exits 0
+# or 1. Count fields skip large integers, which start enormous loops or
+# allocations; data.csv skips integers, which open() would take for a file
+# descriptor. Strings keep to an alphabet with no path separator or dot, so
+# an "out" value stays inside the run's directory.
+BOUNDARY = [10**400, -(10**400), math.nan, math.inf, -math.inf, True, "1", "", [], {}, None, 1.5, -1]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text("B1 _", max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("B1 _", max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+COUNTS = {"population_size", "generations", "tournament_size", "elitism_count", "max_depth",
+          "init_depth_range", "n"}
+MODEL_SLOTS = ("const", "var", "variables", "schema_version", "operators")
+SLOTS = [
+    *((section, key) for section, fields in FIELDS.items() for key in fields),
+    ("scenario", "B"),
+    *(("model", key) for key in MODEL_SLOTS),
+]
+DATA = "B,C,D,Z\n" + "".join(f"{i},{i % 4 + 1},{i % 3 + 2},{i * 2}\n" for i in range(1, 13))
+TREE = {"op": "add", "children": [{"var": "B"}, {"op": "pdiv", "children": [{"var": "C"}, {"const": 2.0}]}]}
+
+
+def allowed(slot, value) -> bool:
+    if slot == ("data", "csv"):
+        return not isinstance(value, int)
+    if slot[1] in COUNTS and slot[0] in ("gp", "synth"):
+        values = value if isinstance(value, list) else [value]
+        return not any(type(v) is int and abs(v) > 64 for v in values)
+    return True
+
+
+def run_slot(slot, value) -> int:
+    """Exit code of one command with value put in slot, run in a fresh directory."""
+    section, key = slot
+    model = {"schema_version": 1, "operators": ["add", "pdiv"], "variables": ["B", "C", "D"]}
+    model["tree"] = json.loads(json.dumps(TREE))
+    config = {
+        "gp": {"population_size": 8, "generations": 2},
+        "synth": {"n": 20},
+        "data": {"csv": "data.csv", "response": "Z", "predictors": ["B", "C", "D"]},
+        "scenario": {"B": 2, "C": 3, "D": 5},
+        "intervention": {"variable": "D", "value": 6},
+    }
+    if section == "model":
+        slots = {"const": model["tree"]["children"][1]["children"][1], "var": model["tree"]["children"][0]}
+        slots.get(key, model)[key] = value
+    else:
+        (config.setdefault(section, {}) if section else config)[key] = value
+    if section in ("", "gp", "synth"):
+        del config["data"]
+        argv = ["fit"]
+    else:
+        del config["synth"]
+        argv = {"data": "simplify", "ris": "ris", "intervention": "counterfactual",
+                "scenario": "counterfactual", "model": "counterfactual"}[section]
+        argv = ["simplify" if slot == ("ris", "threshold") else argv, "--model", "model.json"]
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            for name, text in {"data.csv": DATA, "model.json": json.dumps(model),
+                               "config.json": json.dumps(config)}.items():
+                with open(name, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            return main([*argv, "--config", "config.json"])
+        finally:
+            os.chdir(here)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("slot", SLOTS, ids=".".join)
+def test_every_slot_takes_boundary_values_without_traceback(slot):
+    for value in BOUNDARY:
+        if allowed(slot, value):
+            assert run_slot(slot, value) in (0, 1), value
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.sampled_from(SLOTS), json_values)
+def test_any_json_in_any_slot_exits_without_traceback(slot, value):
+    assume(allowed(slot, value))
+    assert run_slot(slot, value) in (0, 1)
