@@ -167,12 +167,20 @@ _COMPARATORS = {
 }
 
 
+def _number(value) -> float:
+    """A JSON number, an int or a float but not a bool, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
 def filter_rows(data: Dataset, predicate_spec: Sequence) -> Dataset:
     """Keep rows satisfying every clause of an AND-combined predicate list.
 
-    Each clause is [name, op, value] with op one of ==, <=, >=, or range;
-    range takes [lo, hi] and keeps lo <= value <= hi. An empty spec keeps
-    everything.
+    Each clause is [name, op, value]: name a nonempty string, op one of ==,
+    <=, >=, or range, and value a number (an int or a float, not a bool);
+    range takes [lo, hi], two numbers, and keeps lo <= value <= hi. An empty
+    spec keeps everything.
     """
     if not isinstance(predicate_spec, (list, tuple)):
         raise InvalidPredicate(f"a filter is a list of clauses, got {predicate_spec!r}")
@@ -182,11 +190,13 @@ def filter_rows(data: Dataset, predicate_spec: Sequence) -> Dataset:
             name, op, value = clause
         except (TypeError, ValueError):
             raise InvalidPredicate(f"clause must be [name, op, value]: {clause!r}") from None
-        col = data.column(str(name))
+        if not isinstance(name, str) or not name:
+            raise InvalidPredicate(f"clause name must be a nonempty string: {clause!r}")
+        col = data.column(name)
         if op not in ("range", *_COMPARATORS):
             raise InvalidPredicate(f"unknown comparison {op!r}")
         try:
-            lo, hi = map(float, value) if op == "range" else (float(value),) * 2
+            lo, hi = map(_number, value if op == "range" else (value, value))
         except (TypeError, ValueError, OverflowError):
             raise InvalidPredicate(f"{op} needs a number, or [lo, hi] for range: {clause!r}") from None
         mask &= (col >= lo) & (col <= hi) if op == "range" else _COMPARATORS[op](col, lo)

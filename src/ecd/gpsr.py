@@ -60,7 +60,8 @@ MODEL_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class GpConfig:
-    """Hyperparameters for one evolution run. Defaults are desk-scale."""
+    """Hyperparameters for one evolution run, checked when built (so also by
+    preset and dataclasses.replace). Defaults are desk-scale."""
 
     population_size: int = 2000
     generations: int = 30
@@ -78,8 +79,6 @@ class GpConfig:
     def __post_init__(self):
         object.__setattr__(self, "init_depth_range", tuple(self.init_depth_range))
         object.__setattr__(self, "constant_range", tuple(self.constant_range))
-
-    def validate(self) -> None:
         if self.population_size < 2:
             raise InvalidConfig("population_size must be at least 2")
         if self.generations < 1:
@@ -276,7 +275,6 @@ def init_population(
 ) -> list[Individual]:
     """Ramped half-and-half: depth targets cycle over init_depth_range while
     full and grow construction alternate."""
-    config.validate()
     names = sorted(set(variables))
     if not names:
         raise InvalidConfig("at least one variable is required")
@@ -302,9 +300,12 @@ def fitness(
     """
     if data.n_rows == 0:
         raise EmptyDataset("cannot score against an empty dataset")
-    residuals = evaluate_batch(tree, data) - data.column(response)
-    # np.mean's own sum and division, without its Python-level wrapper.
-    raw_mse = float(np.add.reduce(residuals * residuals)) / len(residuals)
+    predictions = evaluate_batch(tree, data)
+    # An overflow (inf) or inf - inf (nan) here meets the clamp below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = predictions - data.column(response)
+        # np.mean's own sum and division, without its Python-level wrapper.
+        raw_mse = float(np.add.reduce(residuals * residuals)) / len(residuals)
     if not math.isfinite(raw_mse):
         raw_mse = PENALTY_MSE
     return raw_mse + parsimony_coeff * tree.size, raw_mse
@@ -348,7 +349,7 @@ def crossover(
 
 
 def _point_mutation(
-    tree: ExpressionTree, variables: Sequence[str], config: GpConfig, rng: Rng
+    tree: ExpressionTree, variables: Sequence[str], constant_range, rng: Rng
 ) -> ExpressionTree:
     """Swap one token for another of the same kind; operands stay in place."""
     idx = rng.integers(tree.size)
@@ -357,14 +358,15 @@ def _point_mutation(
         alternatives = [op for op in OPERATORS if op is not token]
         token = alternatives[rng.integers(len(alternatives))]
     else:
-        token = _random_leaf(rng, variables, config.constant_range)
+        token = _random_leaf(rng, variables, constant_range)
     return ExpressionTree(tree.tokens[:idx] + (token,) + tree.tokens[idx + 1 :])
 
 
 def mutate(
     tree: ExpressionTree,
     variables: Sequence[str],
-    config: GpConfig,
+    max_depth: int,
+    constant_range,
     rng: Rng,
 ) -> ExpressionTree:
     """Half the time replace a subtree with a fresh grow tree of depth <= 2,
@@ -375,12 +377,12 @@ def mutate(
         for _ in range(10):
             idx = rng.integers(tree.size)
             fresh = _random_tree(
-                rng, names, config.constant_range, target_depth=2, min_depth=0, full=False
+                rng, names, constant_range, target_depth=2, min_depth=0, full=False
             )
             tokens = replace_at(tree, idx, fresh)
-            if node_depth(tokens) <= config.max_depth:
+            if node_depth(tokens) <= max_depth:
                 return ExpressionTree(tokens)
-    return _point_mutation(tree, names, config, rng)
+    return _point_mutation(tree, names, constant_range, rng)
 
 
 def diversity(population: Sequence[Individual]) -> float:
@@ -401,7 +403,6 @@ def evolve(data: Dataset, response: str, config: GpConfig) -> FitResult:
     fitness_threshold, or after STAGNATION_WINDOW generations without
     improvement beyond STAGNATION_EPS.
     """
-    config.validate()
     if response not in data.columns:
         raise MissingVariable(response)
     if data.n_rows < 2:
@@ -479,7 +480,7 @@ def evolve(data: Dataset, response: str, config: GpConfig) -> FitResult:
                 mate = select(population, config.tournament_size, rng)
                 tree, _ = crossover(tree, mate.tree, config.max_depth, rng)
             if rng.random() < config.mutation_prob:
-                tree = mutate(tree, variables, config, rng)
+                tree = mutate(tree, variables, config.max_depth, config.constant_range, rng)
             if tree is parent.tree:
                 offspring.append(Individual(tree, parent.fitness, parent.raw_mse))
             else:

@@ -41,13 +41,16 @@ class Mode(enum.Enum):
 
 @dataclass(frozen=True)
 class BaselineSpec:
-    """Named assignment of one value to each predictor."""
+    """Named assignment of one finite value to each predictor."""
 
     values: Mapping[str, float]
     label: str
 
     def __post_init__(self):
         object.__setattr__(self, "values", dict(self.values))
+        for name, value in self.values.items():
+            if not math.isfinite(value):
+                raise NonFiniteBaseline(name, value)
 
 
 @dataclass(frozen=True)
@@ -159,9 +162,6 @@ def _scenario_nodes(
     """Node values of the baseline and of each perturbed copy of it, in one
     evaluation: column 0 is the baseline, column k + 1 perturbation k. Also
     returns each perturbation's notes."""
-    for name, value in baseline.values.items():
-        if not math.isfinite(value):
-            raise NonFiniteBaseline(name, value)
     scenarios = [baseline.values]
     notes = []
     for perturbation in perturbations:

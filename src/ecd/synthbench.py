@@ -9,7 +9,6 @@ Recovery is scored on support overlap and holdout error against clean Z.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
@@ -18,15 +17,7 @@ import numpy as np
 
 from .dataio import Dataset
 from .errors import InvalidConfig
-from .exprcore import (
-    DIV_EPSILON,
-    ExpressionTree,
-    Operator,
-    dependency_set,
-    evaluate_batch,
-    op_node,
-    var_node,
-)
+from .exprcore import DIV_EPSILON, ExpressionTree, dependency_set, evaluate_batch
 from .gpsr import FitResult, GpConfig, evolve
 
 # Fresh-data seed for scoring; far outside the usual experiment sweep range.
@@ -35,17 +26,22 @@ HOLDOUT_SEED = 99991
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Size, seed and noise of one synthetic draw, checked when built."""
+
     n: int = 500
     seed: int = 0
-    noise_percent: float = 0.0
+    noise_percent: float = 0.0  # a fraction of each cell's magnitude: 0.05 is 5%
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n < 2:
             raise InvalidConfig("n must be at least 2")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be nonnegative, got {self.seed}")
-        if not 0 <= self.noise_percent < math.inf:
-            raise InvalidConfig("noise_percent must be nonnegative and finite")
+        if not 0 <= self.noise_percent <= 1:
+            raise InvalidConfig(
+                "noise_percent must be nonnegative and finite, at most 1 (0.05 is 5%), "
+                f"got {self.noise_percent!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -56,17 +52,6 @@ class GroundTruth:
     equations: Mapping[str, str]
     direct_parents: Mapping[str, frozenset[str]]
     equivalent_supports: tuple[frozenset[str], ...]
-
-    def response_tree(self) -> ExpressionTree:
-        """Z = B + C/D as an expression tree (protected division stands in for
-        true division; generated rows keep |D| well away from zero)."""
-        return ExpressionTree(
-            op_node(
-                Operator.ADD,
-                var_node("B"),
-                op_node(Operator.PDIV, var_node("C"), var_node("D")),
-            )
-        )
 
 
 GROUND_TRUTH = GroundTruth(
@@ -90,7 +75,6 @@ GROUND_TRUTH = GroundTruth(
 def generate(config: SynthConfig) -> tuple[Dataset, GroundTruth]:
     """Draw one dataset. Rows whose clean D lands within DIV_EPSILON of zero
     are redrawn so Z is finite; noise (if any) comes after all derived columns."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     n = config.n
 
@@ -174,7 +158,6 @@ def run_benchmark(
     holdout = holdout_data()
     runs = []
     for synth in synth_configs:
-        synth.validate()
         for r in range(repeats):
             run_seed = synth.seed + r
             data, truth = generate(replace(synth, seed=run_seed))

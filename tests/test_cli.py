@@ -98,6 +98,14 @@ class TestGen:
     def test_invalid_n(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path), "--n", "1"]) == 1
 
+    @pytest.mark.parametrize("argv", [["gen", "--noise", "5"], ["fit", "--synth", "--noise", "1e200"]])
+    def test_noise_above_one(self, tmp_path, caplog, argv):
+        # noise_percent is a fraction: --noise 5 would be 500% noise
+        out = tmp_path / "out"
+        assert main([*argv, "--n", "20", "--out", str(out)]) == 1
+        assert "noise_percent must be nonnegative and finite, at most 1" in caplog.text
+        assert not out.exists()
+
     def test_config_with_data_and_synth_sections(self, tmp_path):
         # gen reads no CSV, so a config shared with fit may name both sources
         cfg = tmp_path / "config.json"
@@ -234,6 +242,10 @@ class TestFit:
             ({"intervention": {"variable": "B", "by": 2}}, "unknown intervention config fields: by"),
             ({"gp": {"preset": 3}}, "gp.preset must be a string, got 3"),
             ({"data": {"predictors": "AB"}}, "data.predictors must be a list"),
+            (
+                {"intervention": {"variable": "B", "mode": "relative", "magnitude": 2}},
+                "unknown intervention config fields: magnitude",
+            ),
         ],
     )
     def test_malformed_config_is_invalid_config(self, tmp_path, caplog, doc, message):
@@ -421,6 +433,23 @@ class TestCounterfactual:
         )
         assert code == 0
         doc = json.loads((out / "counterfactual.json").read_text())
+        assert doc["impact"] == pytest.approx(-0.1)
+
+    @pytest.mark.parametrize(
+        "intervention",
+        [{"variable": "D", "mode": "relative", "value": 0.2}, {"variable": "D", "mode": "absolute", "value": 1}],
+    )
+    def test_value_is_the_number_of_every_mode(self, tmp_path, intervention):
+        # D = 5 scaled by 1 + 0.2, or shifted by 1, is 6, as --set D=6 gives
+        model_path = tmp_path / "model.json"
+        bcd_model(model_path)
+        cfg = tmp_path / "config.json"
+        write_config(cfg, {"scenario": {"B": 2, "C": 3, "D": 5}, "intervention": intervention})
+        out = tmp_path / "out"
+        argv = ["counterfactual", "--model", str(model_path), "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        doc = json.loads((out / "counterfactual.json").read_text())
+        assert doc["perturbed_output"] == pytest.approx(2.5)
         assert doc["impact"] == pytest.approx(-0.1)
 
     def test_flags_overwrite_scenario_and_intervention(self, tmp_path):

@@ -162,6 +162,10 @@ class TestFilterRows:
 
     def test_non_numeric_values_and_non_list_spec(self):
         for spec in ([["Age", ">=", "old"]], [["Age", "range", ["a", 70]]],
-                     [["Age", "range", [1, 2, 3]]], [["Age", "==", None]], [["Age", ["=="], 1]], 5):
+                     [["Age", "range", [1, 2, 3]]], [["Age", "==", None]], [["Age", ["=="], 1]], 5,
+                     [["Age", ">=", "0"]], [["Age", ">=", True]], [[1, ">=", 0]],
+                     [["Age", "range", ["0", 1]]], [["Age", "range", [0, False]]],
+                     [["", ">=", 0]], [[None, ">=", 0]], [["Age", "range", "01"]],
+                     [["Age", "range", {"0": 1, "1": 2}]]):
             with pytest.raises(InvalidPredicate):
                 filter_rows(self.data, spec)

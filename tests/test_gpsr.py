@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import random
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,7 +118,7 @@ def make_data(seed=7, n=80):
 
 class TestGpConfig:
     def test_defaults_valid(self):
-        GpConfig().validate()
+        GpConfig()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -145,7 +147,14 @@ class TestGpConfig:
     )
     def test_invalid_configs(self, kwargs):
         with pytest.raises(InvalidConfig):
-            GpConfig(**kwargs).validate()
+            GpConfig(**kwargs)
+
+    def test_checked_when_derived(self):
+        # preset() and dataclasses.replace build a new config, so they check it too
+        with pytest.raises(InvalidConfig, match="population_size must be at least 2"):
+            preset("ehr-large", population_size=1)
+        with pytest.raises(InvalidConfig, match="max_depth"):
+            replace(GpConfig(), max_depth=3)
 
     def test_presets(self):
         large = preset("synthetic-large")
@@ -227,6 +236,15 @@ class TestFitness:
         fit, raw = fitness(tree, data, "Z", 0.001)
         assert raw == PENALTY_MSE
         assert math.isfinite(fit)
+        # Finite predictions whose squared residuals overflow, and an inf - inf
+        # residual, are clamped without a numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, z in (([1e160, 2e160], [0.0, 0.0]), ([1e308, 1.0], [-1e308, 1.0])):
+                fit, raw = fitness(ExpressionTree(var_node("A")), Dataset({"A": a, "Z": z}), "Z", 0.0)
+                assert (fit, raw) == (PENALTY_MSE, PENALTY_MSE)
+            inf = Dataset({"A": [math.inf, 1.0], "Z": [math.inf, 1.0]})
+            assert fitness(ExpressionTree(var_node("A")), inf, "Z", 0.0)[1] == PENALTY_MSE
 
     def test_errors(self):
         empty = Dataset({"A": np.array([]), "Z": np.array([])})
@@ -309,23 +327,21 @@ class TestCrossover:
 class TestMutate:
     def test_point_mutation_keeps_leaf_a_leaf(self):
         tree = ExpressionTree(const_node(3))
-        cfg = GpConfig()
         # random() >= .5 -> point branch; leaf draw picks variable index 0
-        got = mutate(tree, ["A"], cfg, StubRng(randoms=[0.9], integers=[0, 0]))
+        got = mutate(tree, ["A"], 8, (-5.0, 5.0), StubRng(randoms=[0.9], integers=[0, 0]))
         assert got.depth == 0
         assert got.infix == "A"
 
     def test_point_mutation_swaps_operator(self):
         tree = ExpressionTree(op_node(Operator.ADD, var_node("A"), var_node("B")))
-        got = mutate(tree, ["A", "B"], GpConfig(), StubRng(randoms=[0.9], integers=[0, 0]))
+        got = mutate(tree, ["A", "B"], 8, (-5.0, 5.0), StubRng(randoms=[0.9], integers=[0, 0]))
         # alternatives to ADD in declaration order: SUB, MUL, PDIV; index 0 -> SUB
         assert got.infix == "(A - B)"
 
     def test_depth_always_respected(self, rng):
-        cfg = GpConfig(max_depth=4)
         tree = chain_tree(4)
         for _ in range(200):
-            got = mutate(tree, ["A", "B"], cfg, rng)
+            got = mutate(tree, ["A", "B"], 4, (-5.0, 5.0), rng)
             assert got.depth <= 4
 
     def test_subtree_mode_inserts_shallow_subtree(self):
@@ -336,7 +352,7 @@ class TestMutate:
             randoms=[0.1, 0.9, 0.1, 0.1],
             integers=[2, 0, 0, 1],
         )
-        got = mutate(tree, ["A", "B"], GpConfig(), stub)
+        got = mutate(tree, ["A", "B"], 8, (-5.0, 5.0), stub)
         assert got.infix == "(A + (A + B))"
 
 

@@ -29,7 +29,7 @@ from ecd.exprcore import (
     tree_to_json,
     var_node,
 )
-from ecd.gpsr import GpConfig, crossover, mutate
+from ecd.gpsr import crossover, mutate
 from ecd.ris import quartile_baselines, simplify_by_impact
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -88,18 +88,17 @@ def test_json_round_trip(tree):
 @given(trees, trees, st.integers(0, 2), st.integers(0, 2**32 - 1))
 def test_crossover_and_mutation_stay_within_max_depth(a, b, slack, seed):
     max_depth = max(a.depth, b.depth) + slack
-    config = GpConfig(max_depth=max_depth, init_depth_range=(1, max(max_depth, 1)))
     rng = np.random.default_rng(seed)
-    for child in crossover(a, b, max_depth, rng) + (mutate(a, VARS, config, rng),):
+    for child in crossover(a, b, max_depth, rng) + (mutate(a, VARS, max_depth, (-5.0, 5.0), rng),):
         assert ExpressionTree(child.tokens) == child
         assert child.depth <= max_depth
 
 
-# Never a traceback: every config field, scenario value and model-document
-# slot takes boundary values and small arbitrary JSON, and each run exits 0
-# or 1. Count fields skip large integers, which start enormous loops or
-# allocations; data.csv skips integers, which open() would take for a file
-# descriptor. Strings keep to an alphabet with no path separator or dot, so
+# Never a traceback: every config field, filter clause slot, scenario value
+# and model-document slot takes boundary values and small arbitrary JSON, and
+# each run exits 0 or 1; a filter clause slot holding a value of the wrong
+# kind exits 1. Count fields skip large integers, which start enormous loops or
+# allocations. Strings keep to an alphabet with no path separator or dot, so
 # an "out" value stays inside the run's directory.
 BOUNDARY = [10**400, -(10**400), math.nan, math.inf, -math.inf, True, "1", "", [], {}, None, 1.5, -1]
 json_values = st.recursive(
@@ -110,8 +109,11 @@ json_values = st.recursive(
 COUNTS = {"population_size", "generations", "tournament_size", "elitism_count", "max_depth",
           "init_depth_range", "n"}
 MODEL_SLOTS = ("const", "var", "variables", "schema_version", "operators")
+# A data.filter clause [name, op, value], or [name, "range", [lo, hi]] for lo and hi.
+FILTER_SLOTS = ("name", "op", "value", "lo", "hi")
 SLOTS = [
     *((section, key) for section, fields in FIELDS.items() for key in fields),
+    *(("filter", key) for key in FILTER_SLOTS),
     ("scenario", "B"),
     *(("model", key) for key in MODEL_SLOTS),
 ]
@@ -120,12 +122,22 @@ TREE = {"op": "add", "children": [{"var": "B"}, {"op": "pdiv", "children": [{"va
 
 
 def allowed(slot, value) -> bool:
-    if slot == ("data", "csv"):
-        return not isinstance(value, int)
     if slot[1] in COUNTS and slot[0] in ("gp", "synth"):
         values = value if isinstance(value, list) else [value]
         return not any(type(v) is int and abs(v) > 64 for v in values)
     return True
+
+
+def rejected(slot, value) -> bool:
+    """Whether value is of a kind its filter clause slot refuses."""
+    section, key = slot
+    if section != "filter":
+        return False
+    if key == "name":
+        return value not in ("B", "C", "D", "Z")
+    if key == "op":
+        return value not in ("==", "<=", ">=")
+    return isinstance(value, bool) or not isinstance(value, (int, float))
 
 
 def run_slot(slot, value) -> int:
@@ -143,6 +155,14 @@ def run_slot(slot, value) -> int:
     if section == "model":
         slots = {"const": model["tree"]["children"][1]["children"][1], "var": model["tree"]["children"][0]}
         slots.get(key, model)[key] = value
+    elif section == "filter":
+        clause, bounds = ["B", ">=", 1], [1, 12]
+        if key in ("lo", "hi"):
+            clause[1:] = "range", bounds
+            bounds[key == "hi"] = value
+        else:
+            clause[FILTER_SLOTS.index(key)] = value
+        config["data"]["filter"] = [clause]
     else:
         (config.setdefault(section, {}) if section else config)[key] = value
     if section in ("", "gp", "synth"):
@@ -150,7 +170,7 @@ def run_slot(slot, value) -> int:
         argv = ["fit"]
     else:
         del config["synth"]
-        argv = {"data": "simplify", "ris": "ris", "intervention": "counterfactual",
+        argv = {"data": "simplify", "filter": "simplify", "ris": "ris", "intervention": "counterfactual",
                 "scenario": "counterfactual", "model": "counterfactual"}[section]
         argv = ["simplify" if slot == ("ris", "threshold") else argv, "--model", "model.json"]
     here = os.getcwd()
@@ -171,7 +191,7 @@ def run_slot(slot, value) -> int:
 def test_every_slot_takes_boundary_values_without_traceback(slot):
     for value in BOUNDARY:
         if allowed(slot, value):
-            assert run_slot(slot, value) in (0, 1), value
+            assert run_slot(slot, value) in ((1,) if rejected(slot, value) else (0, 1)), value
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -179,4 +199,4 @@ def test_every_slot_takes_boundary_values_without_traceback(slot):
 @given(st.sampled_from(SLOTS), json_values)
 def test_any_json_in_any_slot_exits_without_traceback(slot, value):
     assume(allowed(slot, value))
-    assert run_slot(slot, value) in (0, 1)
+    assert run_slot(slot, value) in ((1,) if rejected(slot, value) else (0, 1))

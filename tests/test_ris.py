@@ -161,6 +161,11 @@ class TestRis:
         with pytest.raises(NonFiniteBaseline):
             ris(tree, BaselineSpec({"B": math.nan, "C": 3.0, "D": 5.0}, "s"), [])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_baseline_rejected_when_built(self, value):
+        with pytest.raises(NonFiniteBaseline, match="'C'"):
+            BaselineSpec({"B": 2.0, "C": value}, "s")
+
     def test_missing_binding(self):
         tree = bcd_tree()
         with pytest.raises(MissingVariable):

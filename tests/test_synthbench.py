@@ -26,16 +26,24 @@ from ecd.synthbench import (
 )
 
 
+# Z = B + C/D; protected division stands in for true division, and
+# generated rows keep |D| well away from zero.
+RESPONSE_TREE = ExpressionTree(
+    op_node(Operator.ADD, var_node("B"), op_node(Operator.PDIV, var_node("C"), var_node("D")))
+)
+
+
 class TestSynthConfig:
     def test_defaults_valid(self):
-        SynthConfig().validate()
+        SynthConfig()
+        SynthConfig(noise_percent=1.0)  # the largest noise: 100% of each cell
 
     def test_invalid(self):
         with pytest.raises(InvalidConfig):
-            SynthConfig(n=1).validate()
-        for noise in (-0.01, math.inf, math.nan):
+            SynthConfig(n=1)
+        for noise in (-0.01, math.inf, math.nan, 1.5, 1e200):
             with pytest.raises(InvalidConfig, match="noise_percent must be nonnegative and finite"):
-                SynthConfig(noise_percent=noise).validate()
+                SynthConfig(noise_percent=noise)
 
 
 class TestGenerate:
@@ -102,8 +110,7 @@ class TestGroundTruth:
 
     def test_response_tree_reproduces_clean_z(self):
         data, _ = generate(SynthConfig(n=200, seed=8))
-        tree = GROUND_TRUTH.response_tree()
-        assert np.array_equal(evaluate_batch(tree, data), data.column("Z"))
+        assert np.array_equal(evaluate_batch(RESPONSE_TREE, data), data.column("Z"))
 
 
 class TestHoldout:
@@ -123,7 +130,7 @@ class TestHoldout:
 
 class TestStructureScore:
     def test_true_structure_scores_perfectly(self):
-        score = structure_score(GROUND_TRUTH.response_tree(), GROUND_TRUTH)
+        score = structure_score(RESPONSE_TREE, GROUND_TRUTH)
         assert score.support_jaccard == 1.0
         assert score.mse_on_clean == 0.0
 
