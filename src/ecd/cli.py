@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import dataio, gpsr, ris, synthbench
 from .errors import EcdError, InvalidConfig, MalformedTree
-from .exprcore import ExpressionTree, Operator, subtree_at, to_dot, tree_to_json
+from .exprcore import DotLayout, ExpressionTree, Operator, subtree_at, to_dot, tree_to_json
 
 log = logging.getLogger("ecd")
 
@@ -249,6 +249,18 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _impact_dots(tree: ExpressionTree, table: ris.QuartileImpactTable):
+    """(file name, to_dot(tree, report.annotations())) of each cell, one at a time. A
+    quartile's cells copy its quiet lines, annotation(b, b), and rewrite the moved nodes."""
+    layout = DotLayout(tree)
+    for q, label in enumerate(ris.QUARTILE_LABELS):
+        baseline = next(iter(table.reports.values()))[q].baseline_values
+        quiet = layout.lines({i: ris.annotation(b, b) for i, b in enumerate(baseline)})
+        for name, cells in table.reports.items():
+            moved = cells[q].annotations(moved_only=True)
+            yield f"impact_{name}_{label}.dot", layout.render(layout.lines(moved, quiet))
+
+
 def cmd_ris(args) -> int:
     cfg = _run_config(args)
     tree, variables = _load_model(args.model)
@@ -265,10 +277,8 @@ def cmd_ris(args) -> int:
     out = _out_dir(cfg)
     (out / "impact_table.txt").write_text(table.to_text(), encoding="utf-8")
     _write_json(out / "impact_table.json", table.to_json())
-    for name, cells in table.reports.items():
-        for label, report in zip(ris.QUARTILE_LABELS, cells):
-            dot = to_dot(tree, report.annotations())
-            (out / f"impact_{name}_{label}.dot").write_text(dot, encoding="utf-8")
+    for filename, dot in _impact_dots(tree, table):
+        (out / filename).write_text(dot, encoding="utf-8")
     log.info("impact table and per-cell DOT files written to %s", out)
     if args.stdout:
         sys.stdout.write(table.to_text())

@@ -109,44 +109,45 @@ def load_csv(path, role_config: RoleConfig, missing_policy: str = "drop_row") ->
         raise InvalidConfig(f"unknown missing_policy {missing_policy!r}")
 
     wanted = role_config.selected
-    with open(path, "r", newline="", encoding="utf-8") as handle:
+    # utf-8-sig drops the byte order mark of Excel and many EHR exports.
+    with open(path, "r", newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise EmptyDataset(f"{path}: no header row") from None
         header = [h.strip() for h in header]
-        positions = {}
+        positions = []
         for name in wanted:
             if name not in header:
                 raise MissingColumn(name)
-            positions[name] = header.index(name)
+            positions.append(header.index(name))
 
         kept: list[list[float]] = []
         dropped = 0
         for row_num, row in enumerate(reader, start=2):
+            # float() skips the whitespace strip() would, so a row of finite
+            # cells parses in one pass; any other row is blank or diagnosed.
+            try:
+                parsed = [float(row[pos]) for pos in positions]
+                if all(map(math.isfinite, parsed)):
+                    kept.append(parsed)
+                    continue
+            except (ValueError, IndexError):
+                pass
             if not row or all(not cell.strip() for cell in row):
                 continue
-            parsed: list[float] = []
-            bad: tuple[str, str] | None = None
-            for name in wanted:
-                pos = positions[name]
+            for name, pos in zip(wanted, positions):
                 text = row[pos].strip() if pos < len(row) else ""
                 try:
-                    value = float(text)
+                    if math.isfinite(float(text)):
+                        continue
                 except ValueError:
-                    bad = (name, text)
-                    break
-                if not math.isfinite(value):
-                    bad = (name, text)
-                    break
-                parsed.append(value)
-            if bad is not None:
-                if missing_policy == "fail":
-                    raise ParseError(row_num, bad[0], bad[1])
-                dropped += 1
-                continue
-            kept.append(parsed)
+                    pass
+                break
+            if missing_policy == "fail":
+                raise ParseError(row_num, name, text)
+            dropped += 1
 
     if dropped:
         log.warning("%s: dropped %d row(s) with missing or unparseable cells", path, dropped)

@@ -260,34 +260,47 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def to_dot(tree: ExpressionTree, annotations: Mapping[int, str] | None = None) -> str:
-    """DOT digraph of the tree: variables boxed, operators as ellipses.
+class DotLayout:
+    """The parts of a tree's DOT text that annotations leave alone, built once:
+    each node's label head and shape tail, and the edge block. Variables are
+    boxed, operators ellipses; edges run child to parent, as values flow."""
 
-    Edges run child to parent, following the direction values flow.
-    Annotation strings, keyed by node id, are appended to node labels.
-    """
-    annotations = dict(annotations or {})
+    def __init__(self, tree: ExpressionTree):
+        tokens, ends = tree.tokens, tree.ends
+        self.heads, self.tails = [], []
+        parent = [0] * len(tokens)
+        for node_id, token in enumerate(tokens):
+            if isinstance(token, Operator):
+                label, shape = _SYMBOLS[token], "ellipse"
+                parent[node_id + 1] = parent[ends[node_id + 1]] = node_id
+            elif isinstance(token, str):
+                label, shape = _dot_escape(token), "box"
+            else:
+                label, shape = format_constant(token), "box"
+            self.heads.append(f'  n{node_id} [label="{label}')
+            self.tails.append(f'" shape={shape}];')
+        self.edges = "".join(f"\n  n{i} -> n{parent[i]};" for i in range(1, len(tokens))) + "\n}\n"
+
+    def lines(self, annotations: Mapping[int, str], base: Sequence[str] | None = None) -> list[str]:
+        """base's node lines (plain by default), annotated nodes' lines rewritten."""
+        heads, tails = self.heads, self.tails
+        lines = list(base) if base is not None else [h + t for h, t in zip(heads, tails)]
+        for node_id, text in annotations.items():
+            lines[node_id] = f"{heads[node_id]}\\n{_dot_escape(text)}{tails[node_id]}"
+        return lines
+
+    def render(self, lines: Sequence[str]) -> str:
+        return "digraph expression_tree {\n" + "\n".join(lines) + self.edges
+
+
+def to_dot(tree: ExpressionTree, annotations: Mapping[int, str] | None = None) -> str:
+    """DOT digraph of the tree (see DotLayout); annotations[i] follows node i's label."""
+    annotations = annotations or {}
     for key in annotations:
         if key < 0 or key >= tree.size:
             raise UnknownNodeId(key)
-
-    tokens, ends = tree.tokens, tree.ends
-    lines = ["digraph expression_tree {"]
-    parent = [0] * len(tokens)
-    for node_id, token in enumerate(tokens):
-        if isinstance(token, Operator):
-            label, shape = _SYMBOLS[token], "ellipse"
-            parent[node_id + 1] = parent[ends[node_id + 1]] = node_id
-        elif isinstance(token, str):
-            label, shape = _dot_escape(token), "box"
-        else:
-            label, shape = format_constant(token), "box"
-        if node_id in annotations:
-            label = f"{label}\\n{_dot_escape(annotations[node_id])}"
-        lines.append(f'  n{node_id} [label="{label}" shape={shape}];')
-    lines.extend(f"  n{node_id} -> n{parent[node_id]};" for node_id in range(1, len(tokens)))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    layout = DotLayout(tree)
+    return layout.render(layout.lines(annotations))
 
 
 def tree_to_json(tree: ExpressionTree) -> dict:

@@ -107,12 +107,19 @@ class ImpactReport:
             },
         }
 
-    def annotations(self) -> dict[int, str]:
-        """Per-node label suffixes for exprcore.to_dot."""
+    def annotations(self, moved_only: bool = False) -> dict[int, str]:
+        """Per-node label suffixes for exprcore.to_dot; moved_only keeps the nodes
+        whose text can differ from annotation(b, b): p != b, NaN or a zero's sign flip."""
         return {
-            node_id: f"{b:.3f} -> {p:.3f} ({format_impact(p - b)})"
+            node_id: annotation(b, p)
             for node_id, (b, p) in enumerate(zip(self.baseline_values, self.perturbed_values))
+            if not moved_only or p != b or (not p and math.copysign(1.0, p) != math.copysign(1.0, b))
         }
+
+
+def annotation(before: float, after: float) -> str:
+    """A node's value before and after a perturbation, and the change."""
+    return f"{before:.3f} -> {after:.3f} ({format_impact(after - before)})"
 
 
 def format_impact(value: float) -> str:
@@ -203,17 +210,16 @@ def quartile_baselines(
     data: Dataset, predictors: Sequence[str]
 ) -> tuple[BaselineSpec, BaselineSpec, BaselineSpec]:
     """Q1/Q2/Q3 BaselineSpecs, linear interpolation between order statistics."""
-    per_quartile: list[dict[str, float]] = [{}, {}, {}]
+    columns = []
     for name in predictors:
-        col = data.column(name)
-        if col.shape[0] == 0:
+        columns.append(data.column(name))
+        if columns[-1].shape[0] == 0:
             raise EmptyColumn(name)
-        q1, q2, q3 = np.percentile(col, [25.0, 50.0, 75.0])
-        for slot, value in zip(per_quartile, (q1, q2, q3)):
-            slot[name] = float(value)
+    matrix = np.reshape(columns, (len(columns), data.n_rows))  # 2-D even with no predictors
+    quartiles = np.percentile(matrix, [25.0, 50.0, 75.0], axis=1).tolist()
     return tuple(
-        BaselineSpec(values, label)
-        for values, label in zip(per_quartile, QUARTILE_LABELS)
+        BaselineSpec(dict(zip(predictors, values)), label)
+        for values, label in zip(quartiles, QUARTILE_LABELS)
     )
 
 

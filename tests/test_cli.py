@@ -128,6 +128,17 @@ class TestGen:
         assert not out.exists()
 
 class TestFit:
+    def test_csv_with_byte_order_mark(self, tmp_path):
+        # Excel and many EHR exports start UTF-8 files with a byte order mark.
+        data = tmp_path / "bom.csv"
+        rows = b"".join(b"%d,%d,%d\n" % (i, i + 1, 2 * i + 1) for i in range(12))
+        data.write_bytes(b"\xef\xbb\xbfA,B,Z\n" + rows)
+        cfg = tmp_path / "gp.json"
+        write_config(cfg, {"gp": {"population_size": 8, "generations": 2}})
+        argv = ["fit", "--csv", str(data), "--response", "Z", "--predictors", "A,B"]
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert json.loads((tmp_path / "out" / "model.json").read_text())["variables"] == ["A", "B"]
+
     def test_csv_fit_writes_artifacts(self, tmp_path):
         data_path = tmp_path / "data.csv"
         regression_csv(data_path)
@@ -865,3 +876,101 @@ def test_golden_artifacts(tmp_path):
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256
     }
     assert got == GOLDEN_SHA256
+
+
+# A hand-written model whose nodes take the values that text formatting
+# treats specially: 0.0 and -0.0 (a zero that flips sign when A does), inf
+# (1e308 * 10) and NaN (inf - inf, and A * 1e308 - A * 1e308 once A leaves 0),
+# while protected division keeps the output finite. A's quartiles are -1, 0
+# and 1, so at Q2 the relative perturbation falls back to an absolute shift,
+# and the "flip" run's magnitude of -2 negates every predictor.
+def special_values_model(path):
+    zero = op_node(Operator.SUB, var_node("B"), var_node("B"))
+    inf = op_node(Operator.MUL, const_node(1e308), const_node(10.0))
+    big = op_node(Operator.MUL, var_node("A"), const_node(1e308))
+    tree = ExpressionTree(
+        op_node(
+            Operator.ADD,
+            op_node(
+                Operator.ADD,
+                op_node(Operator.MUL, var_node("A"), zero),
+                op_node(Operator.MUL, zero, const_node(-1.0)),
+            ),
+            op_node(
+                Operator.ADD,
+                op_node(Operator.MUL, var_node("A"), op_node(Operator.PDIV, var_node("B"), zero)),
+                op_node(
+                    Operator.ADD,
+                    op_node(Operator.PDIV, var_node("A"), inf),
+                    op_node(Operator.PDIV, op_node(Operator.SUB, big, big), op_node(Operator.SUB, inf, inf)),
+                ),
+            ),
+        )
+    )
+    write_model(path, tree, ["A", "B"])
+
+
+# sha256 of every file that ris, counterfactual and simplify write for the
+# special-values model; recorded before DOT rendering learned to reuse a
+# quartile's unchanged node labels, which must not move a byte.
+ANALYSIS_GOLDEN_SHA256 = {
+    "ris/impact_A_Q1.dot": "dd074f7ceaf97a42d437645fb8ac1737c01fa2927397ee7c889321c119d99fb6",
+    "ris/impact_A_Q2.dot": "4f3d8077b44cff2f35c7ebcc3bc3c69e872d2d4b37bb90b9de7883234c814590",
+    "ris/impact_A_Q3.dot": "2b038e3766d7aa691a28e21887c4210eed78eac5031bb24c139a69e17d0005bf",
+    "ris/impact_B_Q1.dot": "68538c647df62de0244d268d58ad8c6588559f22d0a903221bbb3d0878c2fcf4",
+    "ris/impact_B_Q2.dot": "e49e66dbb3283fb80154d17127a73440edb3c13a6bfbb84b7178d508a27d594d",
+    "ris/impact_B_Q3.dot": "85fd4fe6418d6bda72d941b4e3b28bcb9a3ec698e5b969cd1fcc0e0e722aada6",
+    "ris/impact_table.json": "befd70f41a685e7ebcc96a93fdae321bd34a1249cfa3899473ffb38e42254872",
+    "ris/impact_table.txt": "ca1341ae2cc5bfd0d4cb253f9a6413a8c34996eeed36c610616f8206e9a0ddf9",
+    "flip/impact_A_Q1.dot": "0040d2183035ff6edd253cb67ff37936c80e5bfb365d2ff5700277055bbdd8d4",
+    "flip/impact_A_Q2.dot": "9ba6500633ed3e5945658634bc0354134f15cd63a4b630bb3dccfe8b2fa38790",
+    "flip/impact_A_Q3.dot": "468a2b0d8adeaa044ccb2fd22d51f43ada395689f287b05525c255116b68f5f6",
+    "flip/impact_B_Q1.dot": "88783b090da3522d960d422c2f6d5016363c4f7af7a552c7bf293ca6e1968424",
+    "flip/impact_B_Q2.dot": "a792bc491e4f77f6657ca615e33e387c3e0ae17b8488684a94138d10c595bea6",
+    "flip/impact_B_Q3.dot": "ece657826f775acbc2940823d539027dc2823ca8ca673e81c641dbf7f186fc43",
+    "flip/impact_table.json": "33682009b1619ffd5f96472c39f4836955a681b1b2bd16104c093bd7c8dc24bd",
+    "flip/impact_table.txt": "df77a00393c3bd077a366eb1829a392736e4b7f81dc744e9cc89f95fc3af1fd5",
+    "abs/impact_A_Q1.dot": "a5deb71165130942c803db5072830ed70b10476765d4684c3d2e0ecb0a017a7d",
+    "abs/impact_A_Q2.dot": "4bffc6f7c8f97d0a77c1fa6cf89b0a4666b9998b4afd45808025dde7018554c8",
+    "abs/impact_A_Q3.dot": "8604e6a04d1d39f7d65dd4837867d112a97a002662811e7cee905fa1b29f6a3a",
+    "abs/impact_B_Q1.dot": "df3a3b4ebf39dd086bc6d952da04298f12c677f7f0bebb656af91875fac235cf",
+    "abs/impact_B_Q2.dot": "ddbc24703de0b74ef441dcfc34b74a259545f7cf7c4d16b00253196fcbd6a289",
+    "abs/impact_B_Q3.dot": "0396aafbbef28254c21414ceab887ac351182413e6c78e87eddc4bc5fed8cc72",
+    "abs/impact_table.json": "f250b7c3aa4ec113291742b298a62d3e8141c748b622052258e7fa02baffb03d",
+    "abs/impact_table.txt": "3d7c6de87cda512f6883652adb57240be4057496f23bd74f96a04664976a60b2",
+    "simp/simplified_model.json": "cb49dd0cfb827c1299971793e375f80811b3ecae88da6f4724549175a9d31018",
+    "simp/simplified_tree.dot": "421fe34c870fd0f767f7c10fa178585c16cdad5aad5c0ac64118a79cbe34544a",
+    "cf/counterfactual.dot": "e238f849a8ae737c83761480028518289898bd06d91de25b8ce0a9faec14244d",
+    "cf/counterfactual.json": "c2b048b2d581e2d809fcf251bc138c01205eb46f189f4222d4ddf72932825093",
+    "cf/counterfactual.txt": "db86926d5e623ef09cbcc4b4689391dcf55c513ede0baf4cbfec18741dc4c764",
+    "cf2/counterfactual.dot": "1a81c201908d15b9a25bafd1ee4be662efbe6676564cfe43b6e6411b6252eff0",
+    "cf2/counterfactual.json": "261fc65bc0d21e2edd7ec0a839632fb5edec9acdd45854964a3342d65ce00608",
+    "cf2/counterfactual.txt": "775bf3b96335176e07c35dd15c4efc177600534187edf30134de9134cd945ba7",
+}
+
+
+def test_analysis_golden_artifacts(tmp_path):
+    model = tmp_path / "model.json"
+    special_values_model(model)
+    write_csv(
+        tmp_path / "data.csv",
+        {"A": [-2, -1, 0, 1, 3], "B": [0.5, 1, 2, 2.5, 4], "Z": [0, 1, 2, 3, 4]},
+    )
+    data = ["--csv", str(tmp_path / "data.csv"), "--response", "Z", "--predictors", "A,B"]
+    runs = {
+        "ris": ["ris", *data],
+        "flip": ["ris", *data, "--magnitude", "-2"],
+        "abs": ["ris", *data, "--mode", "absolute", "--magnitude", "-0.5"],
+        "simp": ["simplify", *data, "--threshold", "0.05"],
+        "cf": ["counterfactual", "--at", "A=0", "--at", "B=0", "--set", "B=-0.0"],
+        "cf2": ["counterfactual", "--at", "A=-1", "--at", "B=2", "--set", "A=1e300"],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "--model", str(model), "--out", str(tmp_path / name)]) == 0
+    got = {
+        f"{name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for name in runs
+        for path in sorted((tmp_path / name).iterdir())
+    }
+    assert len([name for name in got if name.startswith("ris/impact_")]) == 8
+    assert got == ANALYSIS_GOLDEN_SHA256

@@ -120,6 +120,62 @@ class TestLoadCsv:
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv", ROLES)
 
+    def test_whitespace_padded_cells(self, tmp_path):
+        data = load_csv(write(tmp_path, "A,B\n 1.5 ,\t2\n3,  4  \n"), ROLES, "fail")
+        assert np.array_equal(data.column("A"), [1.5, 3.0])
+        assert np.array_equal(data.column("B"), [2.0, 4.0])
+
+    def test_quoted_numbers(self, tmp_path):
+        data = load_csv(write(tmp_path, 'A,B\n"1.5","2"\n" 3 ",4\n'), ROLES, "fail")
+        assert np.array_equal(data.column("A"), [1.5, 3.0])
+        assert np.array_equal(data.column("B"), [2.0, 4.0])
+
+    def test_underscore_digits_parse_as_float_does(self, tmp_path):
+        data = load_csv(write(tmp_path, "A,B\n1_000,2.5_5\n"), ROLES, "fail")
+        assert (data.column("A")[0], data.column("B")[0]) == (1000.0, 2.55)
+
+    def test_large_finite_cells_kept(self, tmp_path):
+        data = load_csv(write(tmp_path, "A,B\n1e308,1e308\n-1e308,1e308\n"), ROLES, "fail")
+        assert np.array_equal(data.column("A"), [1e308, -1e308])
+
+    def test_blank_rows_skipped_and_not_counted(self, tmp_path, caplog):
+        path = write(tmp_path, "A,B\n1,2\n\n , \n,\n\t\n3,4\nNA,5\n")
+        with caplog.at_level("WARNING", logger="ecd.dataio"):
+            data = load_csv(path, ROLES)
+        assert np.array_equal(data.column("A"), [1.0, 3.0])
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+            f"{path}: dropped 1 row(s) with missing or unparseable cells"
+        ]
+
+    def test_blank_rows_pass_the_fail_policy(self, tmp_path):
+        data = load_csv(write(tmp_path, "A,B\n1,2\n\n , \n3,4\n"), ROLES, "fail")
+        assert data.n_rows == 2
+
+    def test_fail_reports_first_bad_cell_in_selected_order(self, tmp_path):
+        # The file lists B before A, but RoleConfig.selected is (A, B).
+        path = write(tmp_path, "B,A\n1,2\nx,y\n")
+        with pytest.raises(ParseError) as info:
+            load_csv(path, ROLES, "fail")
+        assert (info.value.row, info.value.column, info.value.text) == (3, "A", "y")
+
+    def test_fail_reports_missing_cell_of_short_row(self, tmp_path):
+        with pytest.raises(ParseError) as info:
+            load_csv(write(tmp_path, "A,B\n1,2\n3\n"), ROLES, "fail")
+        assert (info.value.row, info.value.column, info.value.text) == (3, "B", "")
+
+    def test_fail_reports_non_finite_cell(self, tmp_path):
+        with pytest.raises(ParseError) as info:
+            load_csv(write(tmp_path, "A,B\n1,2\n -inf ,3\n"), ROLES, "fail")
+        assert (info.value.row, info.value.column, info.value.text) == (3, "A", "-inf")
+
+    def test_byte_order_mark_header(self, tmp_path):
+        # Excel and many EHR exports start UTF-8 files with a byte order mark.
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfA,B\n1,2\n3,4\n")
+        data = load_csv(path, ROLES)
+        assert data.names == ("A", "B")
+        assert np.array_equal(data.column("A"), [1.0, 3.0])
+
 
 class TestFilterRows:
     def setup_method(self):

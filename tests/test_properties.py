@@ -11,11 +11,11 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import VARS, naive_eval
-from ecd.cli import FIELDS, main
+from ecd.cli import FIELDS, _impact_dots, main
 from ecd.dataio import Dataset
 from ecd.exprcore import (
     ExpressionTree,
@@ -25,12 +25,22 @@ from ecd.exprcore import (
     evaluate_nodes,
     op_node,
     subtree_at,
+    to_dot,
     tree_from_json,
     tree_to_json,
     var_node,
 )
 from ecd.gpsr import crossover, mutate
-from ecd.ris import quartile_baselines, simplify_by_impact
+from ecd.ris import (
+    QUARTILE_LABELS,
+    BaselineSpec,
+    Mode,
+    PerturbationSpec,
+    QuartileImpactTable,
+    quartile_baselines,
+    ris,
+    simplify_by_impact,
+)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -75,6 +85,46 @@ def test_simplify_moves_no_quartile_output_beyond_threshold(tree, rows, threshol
         assert simplified is tree
     for spec in quartile_baselines(data, list(VARS)):
         assert abs(evaluate(simplified, spec.values) - evaluate(tree, spec.values)) <= threshold
+
+
+# Values whose text needs care: signed zeros and magnitudes near overflow;
+# 1.75e308 overflows to inf when a relative perturbation of 0.05 scales it,
+# so u - u goes from 0.0 to NaN.
+SPECIAL = [0.0, -0.0, 1e300, -1e300, 1.75e308]
+special_trees = st.recursive(
+    leaves | st.sampled_from(SPECIAL).map(const_node),
+    lambda children: st.builds(op_node, st.sampled_from(list(Operator)), children, children),
+    max_leaves=24,
+).map(ExpressionTree)
+special_values = st.sampled_from(SPECIAL) | moderate
+
+
+@PROPERTY
+@given(
+    special_trees,
+    st.lists(st.fixed_dictionaries({n: special_values for n in VARS}), min_size=3, max_size=3),
+    st.sampled_from([(Mode.RELATIVE, 0.05), (Mode.RELATIVE, -2.0), (Mode.ABSOLUTE, -0.5),
+                     (Mode.SET_TO, -0.0), (Mode.SET_TO, 1e300)]),
+)
+@example(
+    ExpressionTree(op_node(Operator.SUB, var_node("u"), var_node("u"))),
+    [dict.fromkeys(VARS, 1.75e308)] * 3,
+    (Mode.RELATIVE, 0.05),
+)
+def test_impact_cell_dot_is_to_dot_of_its_annotations(tree, baselines, perturbation):
+    mode, magnitude = perturbation
+    specs = [PerturbationSpec(n, mode, magnitude) for n in VARS]
+    per_quartile = [
+        ris(tree, BaselineSpec(values, label), specs)
+        for values, label in zip(baselines, QUARTILE_LABELS)
+    ]
+    table = QuartileImpactTable(dict(zip(VARS, zip(*per_quartile))), mode, magnitude)
+    expected = [
+        (f"impact_{name}_{label}.dot", to_dot(tree, report.annotations()))
+        for label, reports in zip(QUARTILE_LABELS, per_quartile)
+        for name, report in zip(VARS, reports)
+    ]
+    assert list(_impact_dots(tree, table)) == expected
 
 
 @PROPERTY

@@ -26,8 +26,10 @@ from ecd.exprcore import (
 )
 from ecd.ris import (
     BaselineSpec,
+    ImpactReport,
     Mode,
     PerturbationSpec,
+    annotation,
     counterfactual,
     format_baseline,
     format_impact,
@@ -462,3 +464,28 @@ class TestFormatting:
         assert set(notes) == {0, 1, 2, 3, 4}
         assert notes[0].endswith(f"({format_impact(report.impact)})")
         assert "->" in notes[0]
+
+
+class TestMovedAnnotations:
+    def report(self, pairs):
+        before, after = zip(*pairs)
+        return ImpactReport("A", "Q1", before, after)
+
+    def test_only_moved_nodes_are_kept(self):
+        inf, nan = math.inf, math.nan
+        pairs = [(1.5, 1.5), (1.5, 2.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0),
+                 (nan, nan), (1.0, nan), (inf, inf), (-inf, -inf), (inf, -inf)]
+        moved = self.report(pairs).annotations(moved_only=True)
+        assert sorted(moved) == [1, 2, 3, 6, 7, 10]
+
+    def test_kept_nodes_read_as_in_all_annotations(self):
+        pairs = [(1.5, 2.0), (0.0, -0.0), (math.nan, 1.0), (1.0, 1.0)]
+        report = self.report(pairs)
+        everything = report.annotations()
+        assert report.annotations(moved_only=True) == {i: everything[i] for i in (0, 1, 2)}
+        assert everything[1] == "0.000 -> -0.000 (±0.000)"
+
+    def test_a_quiet_node_reads_as_its_baseline_annotation(self):
+        for value in (1.5, 0.0, -0.0, math.inf, -math.inf, 1e300):
+            assert self.report([(value, value)]).annotations()[0] == annotation(value, value)
+        assert annotation(math.inf, math.inf) == "inf -> inf (+nan)"
