@@ -10,6 +10,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import (
     MissingColumn,
     ParseError,
 )
-from .exprcore import format_constant
+from .exprcore import divisor_masks, format_constant
 
 log = logging.getLogger(__name__)
 
@@ -51,6 +52,11 @@ class Dataset:
         if len(lengths) != 1:
             raise InvalidConfig(f"columns have unequal lengths: {sorted(lengths)}")
         object.__setattr__(self, "columns", frozen)
+
+    @cached_property
+    def divisor_masks(self) -> dict[str, np.ndarray | None]:
+        """exprcore.divisor_masks of the columns, computed when first read."""
+        return divisor_masks(self.columns)
 
     @property
     def n_rows(self) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
@@ -25,10 +26,14 @@ from .errors import MalformedTree, MissingVariable, UnknownNodeId
 DIV_EPSILON = 1e-6
 
 
-def pdiv(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Protected division: total over the reals, 1.0 where the denominator is near zero."""
-    out = np.ones_like(y)
-    np.divide(x, y, out=out, where=np.abs(y) >= DIV_EPSILON)
+def pdiv(x, y):
+    """Protected division of floats or arrays: x / y, but 1.0 where the
+    denominator is below DIV_EPSILON in magnitude or is NaN. A float
+    denominator gives a float 1.0 where it is protected, whatever x is."""
+    if isinstance(y, float):
+        return x / y if abs(y) >= DIV_EPSILON else 1.0
+    out = x / y
+    out[~(abs(y) >= DIV_EPSILON)] = 1.0  # ~(>=), not <, so a NaN divisor gives 1.0 too
     return out
 
 
@@ -53,14 +58,19 @@ _SYMBOLS = {
     Operator.PDIV: "/",
 }
 
-_VECTOR_FUNCS = {
-    Operator.ADD: np.add,
-    Operator.SUB: np.subtract,
-    Operator.MUL: np.multiply,
+# The evaluation kernel's operations. Each takes floats or arrays: two floats
+# give a float, so a subtree of constants folds to one number, and an array
+# operand gives the elementwise float64 result, the same bits as numpy's
+# ufunc on the constant broadcast to an array.
+_KERNEL = {
+    Operator.ADD: operator.add,
+    Operator.SUB: operator.sub,
+    Operator.MUL: operator.mul,
     Operator.PDIV: pdiv,
 }
 
 OPERATORS: tuple[Operator, ...] = tuple(Operator)
+_PDIV = Operator.PDIV
 
 # Constants are floats and never ints, so no constant compares equal to
 # another token (1 == 1.0 would merge distinct trees in hashed collections).
@@ -199,31 +209,76 @@ def dependency_set(tree: ExpressionTree) -> set[str]:
     return {token for token in tree.tokens if isinstance(token, str)}
 
 
+def divisor_masks(columns: Mapping[str, np.ndarray]) -> dict[str, np.ndarray | None]:
+    """For each column, where protected division by it gives 1.0: a boolean
+    mask, or None where it gives the quotient everywhere."""
+    masks = {}
+    for name, column in columns.items():
+        small = ~(abs(column) >= DIV_EPSILON)
+        masks[name] = small if small.any() else None
+    return masks
+
+
+def _run(tree: ExpressionTree, columns, masks: Mapping | None, rows=None):
+    """The evaluation kernel: the root's value over the columns, a float when
+    the tree reads no variable, else an array. Node i's value also goes to
+    rows[i] when rows is given.
+
+    One pass from the last token back, so both operands of an operator are
+    done before it; only operands still to be used stay on the stack.
+    Constants stay floats and operators go through _KERNEL, so a subtree of
+    constants folds to a float. A column that divides takes its mask from
+    masks (see divisor_masks); without masks, pdiv checks every divisor.
+    The caller holds the np.errstate scope, as overflow and NaN are ordinary
+    values here.
+    """
+    tokens, ends = tree.tokens, tree.ends
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    for i in range(len(tokens) - 1, -1, -1):
+        token = tokens[i]
+        if token.__class__ is Operator:
+            x = pop()
+            if token is _PDIV and masks is not None and tokens[ends[i + 1]].__class__ is str:
+                # A column divides: x / y is a new array, and the column's
+                # mask was computed once for its dataset.
+                out = x / stack[-1]
+                mask = masks[tokens[ends[i + 1]]]
+                if mask is not None:
+                    out[mask] = 1.0
+                stack[-1] = out
+            else:
+                stack[-1] = _KERNEL[token](x, stack[-1])
+        elif token.__class__ is str:
+            try:
+                push(columns[token])
+            except KeyError:
+                raise MissingVariable(token) from None
+        else:
+            push(token)
+        if rows is not None:
+            rows[i] = stack[-1]
+    return stack[0]
+
+
 def evaluate_nodes(tree: ExpressionTree, scenarios: Scenarios) -> np.ndarray:
     """Value of every node in every scenario, as a (size x m) float64 array.
 
     scenarios maps each variable to a vector of its m values, one per
-    scenario; row i holds node i's values, so row 0 is the output. One pass
-    from the last node back, so both operands of an operator are done before
-    it; float64 arithmetic gives the same bits as evaluating each scenario
-    alone.
+    scenario; row i holds node i's values, so row 0 is the output. float64
+    arithmetic gives the same bits as evaluating each scenario alone.
     """
     m = len(next(iter(scenarios.values()), (0.0,)))
-    tokens, ends = tree.tokens, tree.ends
-    values = np.empty((len(tokens), m))
+    # Only the variables the tree reads; a missing one is reported by _run.
+    columns = {
+        name: np.asarray(scenarios[name], dtype=np.float64)
+        for name in dependency_set(tree)
+        if name in scenarios
+    }
+    rows = np.empty((tree.size, m))
     with np.errstate(all="ignore"):
-        for i in range(len(tokens) - 1, -1, -1):
-            token = tokens[i]
-            if token.__class__ is Operator:
-                values[i] = _VECTOR_FUNCS[token](values[i + 1], values[ends[i + 1]])
-            elif token.__class__ is str:
-                try:
-                    values[i] = scenarios[token]
-                except KeyError:
-                    raise MissingVariable(token) from None
-            else:
-                values[i] = token
-    return values
+        _run(tree, columns, None, rows)
+    return rows
 
 
 def evaluate(tree: ExpressionTree, bindings: Bindings) -> float:
@@ -232,28 +287,23 @@ def evaluate(tree: ExpressionTree, bindings: Bindings) -> float:
     return float(evaluate_nodes(tree, scenario)[0, 0])
 
 
+def predict(tree: ExpressionTree, data) -> Union[float, np.ndarray]:
+    """The tree's output over a dataset: a float when the tree reads no
+    variable, else one value per row. It enters no np.errstate scope, so a
+    caller that goes on computing with the output, as gpsr.fitness does,
+    holds one scope around both; evaluate_batch holds its own."""
+    return _run(tree, data.columns, data.divisor_masks)
+
+
 def evaluate_batch(tree: ExpressionTree, data) -> np.ndarray:
     """Row-wise output over a dataset; element i equals evaluate on row i.
 
-    A stack machine over the tokens in reverse, one vector operation per
-    operator. It keeps at most depth + 1 columns alive, where evaluate_nodes
-    would hold one per node.
+    One vector operation per operator that reads a variable. It keeps at
+    most depth + 1 columns alive, where evaluate_nodes holds one per node.
     """
-    columns, n_rows = data.columns, data.n_rows
-    stack: list = []
     with np.errstate(all="ignore"):
-        for token in reversed(tree.tokens):
-            if isinstance(token, Operator):
-                left = stack.pop()
-                stack[-1] = _VECTOR_FUNCS[token](left, stack[-1])
-            elif isinstance(token, str):
-                try:
-                    stack.append(columns[token])
-                except KeyError:
-                    raise MissingVariable(token) from None
-            else:
-                stack.append(np.full(n_rows, token))
-    return stack[0]
+        out = predict(tree, data)
+    return np.full(data.n_rows, out) if out.__class__ is float else out
 
 
 def _dot_escape(text: str) -> str:

@@ -35,8 +35,9 @@ from .exprcore import (
     Token,
     Tokens,
     dependency_set,
-    evaluate_batch,
+    evaluate_batch,  # not called here: perfbench's tracer rebinds gpsr.evaluate_batch
     node_depth,
+    predict,
     replace_at,
     subtree_at,
     tree_from_json,
@@ -56,6 +57,17 @@ STAGNATION_EPS = 1e-12
 HISTORY_COLUMNS = ("generation", "min_fitness", "mean_fitness", "diversity", "best_expression")
 
 MODEL_SCHEMA_VERSION = 1
+
+# Upper caps on GpConfig's counts, far above the largest preset (ehr-large:
+# population 100,000, 30 generations, depth 8), so that a mistyped count is
+# refused when the config is built instead of starting a loop or an
+# allocation that never ends. tournament_size shares MAX_POPULATION,
+# elitism_count is held below population_size, and init_depth_range within
+# max_depth and MAX_INIT_DEPTH: a full tree of depth 20 has 2,097,151 nodes.
+MAX_POPULATION = 10_000_000
+MAX_GENERATIONS = 1_000_000
+MAX_DEPTH = 1_000
+MAX_INIT_DEPTH = 20
 
 
 @dataclass(frozen=True)
@@ -79,25 +91,30 @@ class GpConfig:
     def __post_init__(self):
         object.__setattr__(self, "init_depth_range", tuple(self.init_depth_range))
         object.__setattr__(self, "constant_range", tuple(self.constant_range))
-        if self.population_size < 2:
-            raise InvalidConfig("population_size must be at least 2")
-        if self.generations < 1:
-            raise InvalidConfig("generations must be at least 1")
+        for name, lo, hi in (
+            ("population_size", 2, MAX_POPULATION),
+            ("generations", 1, MAX_GENERATIONS),
+            ("tournament_size", 1, MAX_POPULATION),
+            ("max_depth", 1, MAX_DEPTH),
+        ):
+            value = getattr(self, name)
+            if value < lo:
+                raise InvalidConfig(f"{name} must be at least {lo}")
+            if value > hi:
+                raise InvalidConfig(f"{name} must be at most {hi}, got {value}")
         for name in ("crossover_prob", "mutation_prob"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise InvalidConfig(f"{name} must lie in [0, 1], got {p}")
-        if self.tournament_size < 1:
-            raise InvalidConfig("tournament_size must be at least 1")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be nonnegative, got {self.seed}")
         if not 0 <= self.elitism_count < self.population_size:
             raise InvalidConfig("elitism_count must be in [0, population_size)")
         lo, hi = self.init_depth_range
-        if not (1 <= lo <= hi <= self.max_depth):
+        if not (1 <= lo <= hi <= min(self.max_depth, MAX_INIT_DEPTH)):
             raise InvalidConfig(
                 f"init_depth_range {self.init_depth_range} must satisfy "
-                f"1 <= min <= max <= max_depth ({self.max_depth})"
+                f"1 <= min <= max <= max_depth ({self.max_depth}) and max <= {MAX_INIT_DEPTH}"
             )
         for name in ("parsimony_coeff", "fitness_threshold"):
             if not 0 <= getattr(self, name) < math.inf:
@@ -191,15 +208,17 @@ class _Pcg64Stream:
         self._next_word = iter(()).__next__
         self._spare = None
 
-    def _word(self) -> int:
-        try:
-            return self._next_word()
-        except StopIteration:
-            self._next_word = iter(self._bits.random_raw(_STREAM_BLOCK).tolist()).__next__
-            return self._next_word()
+    def _refill(self) -> int:
+        """The first word of a new block; the draws call it once the block is spent."""
+        self._next_word = iter(self._bits.random_raw(_STREAM_BLOCK).tolist()).__next__
+        return self._next_word()
 
     def random(self) -> float:
-        return (self._word() >> 11) * 2**-53
+        try:
+            word = self._next_word()
+        except StopIteration:
+            word = self._refill()
+        return (word >> 11) * 2**-53
 
     def uniform(self, lo: float, hi: float) -> float:
         lo = float(lo)  # numpy takes both bounds as doubles first
@@ -211,7 +230,10 @@ class _Pcg64Stream:
         while True:
             draw = self._spare  # a 32-bit value: a spare high half, else a fresh low half
             if draw is None:
-                word = self._word()
+                try:
+                    word = self._next_word()
+                except StopIteration:
+                    word = self._refill()
                 draw, self._spare = word & 0xFFFFFFFF, word >> 32
             else:
                 self._spare = None
@@ -243,10 +265,6 @@ def _random_leaf(rng: Rng, variables: Sequence[str], constant_range) -> Token:
     return variables[pick]
 
 
-def _random_operator(rng: Rng) -> Operator:
-    return OPERATORS[rng.integers(len(OPERATORS))]
-
-
 def _random_tree(
     rng: Rng,
     variables: Sequence[str],
@@ -255,18 +273,26 @@ def _random_tree(
     min_depth: int,
     full: bool,
 ) -> Tokens:
-    """Preorder tokens of a random tree, emitted in the order they are drawn."""
+    """Preorder tokens of a random tree, emitted in the order they are drawn:
+    a leaf is _random_leaf's draws, an operator one integers(len(OPERATORS))."""
+    integers, random, uniform = rng.integers, rng.random, rng.uniform
+    n_vars, n_ops = len(variables), len(OPERATORS)
+    lo, hi = constant_range
+    # Grow mode may stop at a leaf from min_depth on; full mode only at target_depth.
+    may_stop = target_depth if full else min_depth
     tokens = []
+    append = tokens.append
     pending = [0]  # depths of the operand slots still to fill, next on top
+    pop = pending.pop
     while pending:
-        level = pending.pop()
-        if level >= target_depth or (
-            level >= min_depth and not full and rng.random() < GROW_TERMINAL_PROB
-        ):
-            tokens.append(_random_leaf(rng, variables, constant_range))
+        level = pop()
+        if level >= target_depth or (level >= may_stop and random() < GROW_TERMINAL_PROB):
+            pick = integers(n_vars + 1)
+            append(uniform(lo, hi) if pick == n_vars else variables[pick])
         else:
-            tokens.append(_random_operator(rng))
-            pending += (level + 1, level + 1)
+            append(OPERATORS[integers(n_ops)])
+            level += 1
+            pending += (level, level)
     return tuple(tokens)
 
 
@@ -300,10 +326,9 @@ def fitness(
     """
     if data.n_rows == 0:
         raise EmptyDataset("cannot score against an empty dataset")
-    predictions = evaluate_batch(tree, data)
     # An overflow (inf) or inf - inf (nan) here meets the clamp below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        residuals = predictions - data.column(response)
+    with np.errstate(all="ignore"):
+        residuals = predict(tree, data) - data.column(response)
         # np.mean's own sum and division, without its Python-level wrapper.
         raw_mse = float(np.add.reduce(residuals * residuals)) / len(residuals)
     if not math.isfinite(raw_mse):
@@ -311,20 +336,30 @@ def fitness(
     return raw_mse + parsimony_coeff * tree.size, raw_mse
 
 
-def select(
-    population: Sequence[Individual],
-    tournament_size: int,
-    rng: Rng,
-) -> Individual:
-    """Tournament of uniformly sampled entrants, with replacement. Ties fall to
-    smaller trees, then to the earlier population index."""
-    if not population:
+def ranking(population: Sequence[Individual]) -> tuple[list[int], list[int]]:
+    """(order, ranks): order lists the population's indices best first, by
+    fitness, then smaller tree, then earlier index, a total order; ranks[i] is
+    individual i's position in order."""
+    keys = [(ind.fitness, ind.tree.size, i) for i, ind in enumerate(population)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ranks = [0] * len(order)
+    for rank, i in enumerate(order):
+        ranks[i] = rank
+    return order, ranks
+
+
+def select(ranks: Sequence[int], tournament_size: int, rng: Rng) -> int:
+    """Tournament of uniformly sampled entrants, with replacement: the best
+    rank drawn, so order[select(...)] is the winner's index (see ranking)."""
+    if not ranks:
         raise EmptyPopulation("cannot select from an empty population")
-    n = len(population)
-    entrants = [rng.integers(n) for _ in range(tournament_size)]
-    return population[
-        min(entrants, key=lambda i: (population[i].fitness, population[i].tree.size, i))
-    ]
+    n, integers = len(ranks), rng.integers
+    best = ranks[integers(n)]
+    for _ in range(tournament_size - 1):
+        rank = ranks[integers(n)]
+        if rank < best:
+            best = rank
+    return best
 
 
 def crossover(
@@ -437,10 +472,7 @@ def evolve(data: Dataset, response: str, config: GpConfig) -> FitResult:
         for ind in population:
             score(ind)
 
-        order = sorted(
-            range(len(population)),
-            key=lambda i: (population[i].fitness, population[i].tree.size, i),
-        )
+        order, ranks = ranking(population)
         gen_best = population[order[0]]
         previous = best.fitness if best is not None else None
         if best is None or gen_best.fitness < best.fitness:
@@ -474,10 +506,10 @@ def evolve(data: Dataset, response: str, config: GpConfig) -> FitResult:
         rng = streams[generation + 1]
         offspring: list[Individual] = [population[i] for i in order[: config.elitism_count]]
         while len(offspring) < config.population_size:
-            parent = select(population, config.tournament_size, rng)
+            parent = population[order[select(ranks, config.tournament_size, rng)]]
             tree = parent.tree
             if rng.random() < config.crossover_prob:
-                mate = select(population, config.tournament_size, rng)
+                mate = population[order[select(ranks, config.tournament_size, rng)]]
                 tree, _ = crossover(tree, mate.tree, config.max_depth, rng)
             if rng.random() < config.mutation_prob:
                 tree = mutate(tree, variables, config.max_depth, config.constant_range, rng)

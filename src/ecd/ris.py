@@ -216,10 +216,23 @@ def quartile_baselines(
         if columns[-1].shape[0] == 0:
             raise EmptyColumn(name)
     matrix = np.reshape(columns, (len(columns), data.n_rows))  # 2-D even with no predictors
-    quartiles = np.percentile(matrix, [25.0, 50.0, 75.0], axis=1).tolist()
+    percents = (25.0, 50.0, 75.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        quartiles = np.percentile(matrix, percents, axis=1)
+    # numpy interpolates as a + (b - a)·t, and b - a overflows where the two
+    # order statistics lie far apart on either side of 0. (1 - t)·a + t·b
+    # cannot overflow there; it is used only where numpy's result is not
+    # finite, so other quartiles keep numpy's bits.
+    for k, j in zip(*np.nonzero(~np.isfinite(quartiles))):
+        if np.isfinite(matrix[j]).all():
+            ordered = np.sort(matrix[j])
+            h = (data.n_rows - 1) * percents[k] / 100.0
+            i = math.floor(h)
+            t = h - i
+            quartiles[k, j] = (1.0 - t) * ordered[i] + t * ordered[min(i + 1, data.n_rows - 1)]
     return tuple(
         BaselineSpec(dict(zip(predictors, values)), label)
-        for values, label in zip(quartiles, QUARTILE_LABELS)
+        for values, label in zip(quartiles.tolist(), QUARTILE_LABELS)
     )
 
 

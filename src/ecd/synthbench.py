@@ -23,6 +23,10 @@ from .gpsr import FitResult, GpConfig, evolve
 # Fresh-data seed for scoring; far outside the usual experiment sweep range.
 HOLDOUT_SEED = 99991
 
+# Upper cap on SynthConfig.n: ten million rows of the five columns take
+# 400 MB, so a larger count is refused when the config is built.
+MAX_ROWS = 10_000_000
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -35,6 +39,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n < 2:
             raise InvalidConfig("n must be at least 2")
+        if self.n > MAX_ROWS:
+            raise InvalidConfig(f"n must be at most {MAX_ROWS}, got {self.n}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be nonnegative, got {self.seed}")
         if not 0 <= self.noise_percent <= 1:

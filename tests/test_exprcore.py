@@ -55,6 +55,27 @@ class TestPdiv:
             y = float(rng.uniform(-1e-5, 1e-5))
             assert math.isfinite(pdiv(x, y))
 
+    def test_nan_denominator_returns_one(self):
+        assert pdiv(3.0, math.nan) == 1.0
+        got = pdiv(np.array([3.0, 4.0]), np.array([math.nan, 2.0]))
+        assert got.tolist() == [1.0, 2.0]
+        # inf - inf is NaN: a divisor made that way is protected too
+        with np.errstate(invalid="ignore"):
+            assert pdiv(np.array([5.0]), np.array([math.inf]) - math.inf).tolist() == [1.0]
+
+    @pytest.mark.parametrize("x_array", [False, True])
+    @pytest.mark.parametrize("y_array", [False, True])
+    def test_every_float_array_mix(self, x_array, y_array):
+        xs, ys = [3.0, -8.0, 0.0, 1e308], [5.0, 1e-7, -DIV_EPSILON, math.nan]
+        for x, y in zip(xs, ys):
+            want = x / y if abs(y) >= DIV_EPSILON else 1.0
+            with np.errstate(all="ignore"):
+                got = pdiv(np.array([x, x]) if x_array else x, np.array([y, y]) if y_array else y)
+            if not (x_array or y_array):
+                assert type(got) is float and got == want
+            else:
+                assert np.array(got * np.ones(2)).tolist() == [want, want]
+
     def test_vector_matches_scalar(self, rng):
         x = rng.uniform(-100, 100, 200)
         y = rng.uniform(-1e-5, 1e-5, 200)

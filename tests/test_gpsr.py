@@ -26,6 +26,10 @@ from ecd.exprcore import (
 )
 from ecd.gpsr import (
     HISTORY_COLUMNS,
+    MAX_DEPTH,
+    MAX_GENERATIONS,
+    MAX_INIT_DEPTH,
+    MAX_POPULATION,
     PENALTY_MSE,
     PRESETS,
     GpConfig,
@@ -43,6 +47,7 @@ from ecd.gpsr import (
     model_from_document,
     mutate,
     preset,
+    ranking,
     select,
 )
 
@@ -133,6 +138,12 @@ class TestGpConfig:
             {"init_depth_range": (0, 3)},
             {"init_depth_range": (4, 2)},
             {"init_depth_range": (2, 9), "max_depth": 8},
+            {"init_depth_range": (2, MAX_INIT_DEPTH + 1), "max_depth": MAX_INIT_DEPTH + 1},
+            {"population_size": MAX_POPULATION + 1},
+            {"generations": MAX_GENERATIONS + 1},
+            {"tournament_size": MAX_POPULATION + 1},
+            {"max_depth": MAX_DEPTH + 1},
+            {"population_size": 10**400},
             {"parsimony_coeff": -0.001},
             {"fitness_threshold": -1.0},
             {"constant_range": (5.0, -5.0)},
@@ -148,6 +159,16 @@ class TestGpConfig:
     def test_invalid_configs(self, kwargs):
         with pytest.raises(InvalidConfig):
             GpConfig(**kwargs)
+
+    def test_caps_are_inclusive(self):
+        # Only built, never run: a run of this size would not end.
+        GpConfig(
+            population_size=MAX_POPULATION,
+            generations=MAX_GENERATIONS,
+            tournament_size=MAX_POPULATION,
+            max_depth=MAX_DEPTH,
+            init_depth_range=(1, MAX_INIT_DEPTH),
+        )
 
     def test_checked_when_derived(self):
         # preset() and dataclasses.replace build a new config, so they check it too
@@ -257,8 +278,7 @@ class TestFitness:
 
 class TestSelect:
     def test_single_individual(self):
-        ind = Individual(ExpressionTree(var_node("A")), fitness=1.0)
-        assert select([ind], 5, StubRng(integers=[0, 0, 0, 0, 0])) is ind
+        assert select([0], 5, StubRng(integers=[0, 0, 0, 0, 0])) == 0
 
     def test_global_best_when_all_sampled(self):
         pop = [
@@ -266,8 +286,9 @@ class TestSelect:
             Individual(ExpressionTree(var_node("B")), fitness=1.0),
             Individual(ExpressionTree(var_node("C")), fitness=2.0),
         ]
-        got = select(pop, 3, StubRng(integers=[0, 1, 2]))
-        assert got is pop[1]
+        order, ranks = ranking(pop)
+        assert (order, ranks) == ([1, 2, 0], [2, 0, 1])
+        assert pop[order[select(ranks, 3, StubRng(integers=[0, 1, 2]))]] is pop[1]
 
     def test_tie_breaks_on_size_then_index(self):
         small = ExpressionTree(op_node(Operator.ADD, var_node("A"), var_node("B")))
@@ -276,10 +297,14 @@ class TestSelect:
                     op_node(Operator.SUB, var_node("A"), var_node("B")))
         )
         pop = [Individual(big, fitness=1.0), Individual(small, fitness=1.0)]
-        assert select(pop, 2, StubRng(integers=[0, 1])) is pop[1]
+        order, ranks = ranking(pop)
+        assert (order, ranks) == ([1, 0], [1, 0])
+        assert pop[order[select(ranks, 2, StubRng(integers=[0, 1]))]] is pop[1]
         twin = ExpressionTree(op_node(Operator.SUB, var_node("A"), var_node("B")))
         pop2 = [Individual(small, fitness=1.0), Individual(twin, fitness=1.0)]
-        assert select(pop2, 2, StubRng(integers=[1, 0])) is pop2[0]
+        order, ranks = ranking(pop2)
+        assert (order, ranks) == ([0, 1], [0, 1])
+        assert pop2[order[select(ranks, 2, StubRng(integers=[1, 0]))]] is pop2[0]
 
     def test_empty_population(self):
         with pytest.raises(EmptyPopulation):

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -18,10 +19,12 @@ from conftest import VARS, naive_eval
 from ecd.cli import FIELDS, _impact_dots, main
 from ecd.dataio import Dataset
 from ecd.exprcore import (
+    DIV_EPSILON,
     ExpressionTree,
     Operator,
     const_node,
     evaluate,
+    evaluate_batch,
     evaluate_nodes,
     op_node,
     subtree_at,
@@ -30,7 +33,21 @@ from ecd.exprcore import (
     tree_to_json,
     var_node,
 )
-from ecd.gpsr import crossover, mutate
+from ecd.gpsr import (
+    MAX_DEPTH,
+    MAX_GENERATIONS,
+    MAX_INIT_DEPTH,
+    MAX_POPULATION,
+    PENALTY_MSE,
+    Individual,
+    _Pcg64Stream,
+    _random_tree,
+    crossover,
+    fitness,
+    mutate,
+    ranking,
+    select,
+)
 from ecd.ris import (
     QUARTILE_LABELS,
     BaselineSpec,
@@ -41,6 +58,7 @@ from ecd.ris import (
     ris,
     simplify_by_impact,
 )
+from ecd.synthbench import MAX_ROWS
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -144,11 +162,136 @@ def test_crossover_and_mutation_stay_within_max_depth(a, b, slack, seed):
         assert child.depth <= max_depth
 
 
+def reference_evaluate(tree, data):
+    """evaluate_batch as it was before the shared kernel: every constant an
+    np.full array, numpy's ufuncs, and pdiv built from ones_like and
+    divide(where=)."""
+
+    def reference_pdiv(x, y):
+        out = np.ones_like(y)
+        np.divide(x, y, out=out, where=np.abs(y) >= DIV_EPSILON)
+        return out
+
+    funcs = {Operator.ADD: np.add, Operator.SUB: np.subtract, Operator.MUL: np.multiply,
+             Operator.PDIV: reference_pdiv}
+    stack = []
+    with np.errstate(all="ignore"):
+        for token in reversed(tree.tokens):
+            if isinstance(token, Operator):
+                left = stack.pop()
+                stack[-1] = funcs[token](left, stack[-1])
+            elif isinstance(token, str):
+                stack.append(data.column(token))
+            else:
+                stack.append(np.full(data.n_rows, token))
+    return stack[0]
+
+
+def reference_fitness(tree, data, parsimony_coeff):
+    predictions = reference_evaluate(tree, data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = predictions - data.column("Z")
+        raw_mse = float(np.add.reduce(residuals * residuals)) / len(residuals)
+    if not math.isfinite(raw_mse):
+        raw_mse = PENALTY_MSE
+    return raw_mse + parsimony_coeff * tree.size, raw_mse
+
+
+def same_bits(a, b) -> bool:
+    """Equal bit for bit, except that any NaN matches any NaN in the same place."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    nan = np.isnan(a)
+    return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+# Values at the kernel's edges: signed zeros, divisors on either side of
+# DIV_EPSILON, and magnitudes whose sums and products overflow to inf, and
+# whose inf - inf and inf * 0 make NaN.
+EDGES = [0.0, -0.0, 1e-7, -5e-7, DIV_EPSILON, -DIV_EPSILON, 1e300, -1e300, 1.75e308, 2.0]
+edge_leaves = st.sampled_from(EDGES) | moderate
+constant_tokens = st.recursive(
+    edge_leaves.map(const_node),
+    lambda children: st.builds(op_node, st.sampled_from(list(Operator)), children, children),
+    max_leaves=8,
+)
+kernel_tokens = st.recursive(
+    st.sampled_from(VARS).map(var_node) | edge_leaves.map(const_node),
+    lambda children: st.builds(op_node, st.sampled_from(list(Operator)), children, children)
+    | st.builds(op_node, st.sampled_from(list(Operator)), constant_tokens, children)
+    | st.builds(op_node, st.sampled_from(list(Operator)), children, constant_tokens),
+    max_leaves=24,
+)
+# Ramped half-and-half's two shapes, as init_population draws them.
+grown_tokens = st.builds(
+    lambda seed, depth, full: _random_tree(np.random.default_rng(seed), VARS, (-5.0, 5.0), depth, 1, full),
+    st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans(),
+)
+kernel_data = st.integers(1, 6).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {name: st.lists(edge_leaves | st.sampled_from([math.inf, -math.inf, math.nan]), min_size=n, max_size=n)
+         for name in (*VARS, "Z")}
+    )
+)
+
+
+@PROPERTY
+@given(kernel_tokens | grown_tokens | constant_tokens, kernel_data)
+@example(  # a data column divides: its kept mask must cover NaN as well as near-zero
+    op_node(Operator.PDIV, var_node("u"), var_node("v")),
+    {"u": [1.0, 2.0, 3.0, 4.0], "v": [math.nan, 1e-7, 3.0, -0.0], "w": [0.0] * 4, "x": [0.0] * 4, "Z": [1.0] * 4},
+)
+def test_kernel_matches_the_reference_evaluator_bit_for_bit(tokens, columns):
+    tree, data = ExpressionTree(tokens), Dataset(columns)
+    batch = evaluate_batch(tree, data)
+    assert isinstance(batch, np.ndarray) and same_bits(batch, reference_evaluate(tree, data))
+    assert fitness(tree, data, "Z", 0.001) == reference_fitness(tree, data, 0.001)
+    scenarios = {name: data.column(name).tolist() for name in VARS}
+    assert same_bits(evaluate_nodes(tree, scenarios)[0], batch)
+
+
+SHAPES = (  # tree sizes 1, 3 and 5
+    var_node("u"),
+    op_node(Operator.ADD, var_node("u"), var_node("v")),
+    op_node(Operator.MUL, op_node(Operator.SUB, var_node("u"), var_node("v")), var_node("w")),
+)
+
+
+@PROPERTY
+@given(
+    st.lists(st.tuples(st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from(SHAPES)), min_size=1, max_size=30),
+    st.integers(1, 9),
+    st.integers(0, 2**32 - 1),
+)
+def test_rank_tournament_picks_the_keyed_min_winner(members, tournament_size, seed):
+    population = [Individual(ExpressionTree(shape), fitness=f) for f, shape in members]
+    order, ranks = ranking(population)
+    keyed = _Pcg64Stream(np.random.SeedSequence(seed))
+    ranked = _Pcg64Stream(np.random.SeedSequence(seed))
+    n = len(population)
+    for _ in range(20):
+        # The tournament as it was: the keyed min over the entrants drawn.
+        entrants = [keyed.integers(n) for _ in range(tournament_size)]
+        winner = min(entrants, key=lambda i: (population[i].fitness, population[i].tree.size, i))
+        assert population[order[select(ranks, tournament_size, ranked)]] is population[winner]
+    assert keyed.integers(2**32 - 1) == ranked.integers(2**32 - 1)  # both took the same draws
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from([-1.5e308, 1.5e308, -1e308, 1.7e308, 0.0, -0.0]) | moderate, min_size=1, max_size=9))
+@example([-1.5e308, 1.5e308, -1.5e308, 1.5e308])
+def test_quartiles_of_a_finite_column_lie_within_it(column):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        quartiles = [spec.values["A"] for spec in quartile_baselines(Dataset({"A": column}), ["A"])]
+    assert all(min(column) <= q <= max(column) for q in quartiles)
+    assert quartiles == sorted(quartiles)
+
+
 # Never a traceback: every config field, filter clause slot, scenario value
 # and model-document slot takes boundary values and small arbitrary JSON, and
 # each run exits 0 or 1; a filter clause slot holding a value of the wrong
-# kind exits 1. Count fields skip large integers, which start enormous loops or
-# allocations. Strings keep to an alphabet with no path separator or dot, so
+# kind exits 1, and so does a count above its cap. Counts from 65 up to the
+# cap are skipped, as they would start enormous loops or allocations. Strings keep to an alphabet with no path separator or dot, so
 # an "out" value stays inside the run's directory.
 BOUNDARY = [10**400, -(10**400), math.nan, math.inf, -math.inf, True, "1", "", [], {}, None, 1.5, -1]
 json_values = st.recursive(
@@ -156,8 +299,10 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("B1 _", max_size=3), inner, max_size=3),
     max_leaves=6,
 )
-COUNTS = {"population_size", "generations", "tournament_size", "elitism_count", "max_depth",
-          "init_depth_range", "n"}
+# Each count field's cap; elitism_count is held below population_size.
+COUNTS = {"population_size": MAX_POPULATION, "generations": MAX_GENERATIONS,
+          "tournament_size": MAX_POPULATION, "elitism_count": MAX_POPULATION, "max_depth": MAX_DEPTH,
+          "init_depth_range": MAX_INIT_DEPTH, "n": MAX_ROWS}
 MODEL_SLOTS = ("const", "var", "variables", "schema_version", "operators")
 # A data.filter clause [name, op, value], or [name, "range", [lo, hi]] for lo and hi.
 FILTER_SLOTS = ("name", "op", "value", "lo", "hi")
@@ -171,16 +316,23 @@ DATA = "B,C,D,Z\n" + "".join(f"{i},{i % 4 + 1},{i % 3 + 2},{i * 2}\n" for i in r
 TREE = {"op": "add", "children": [{"var": "B"}, {"op": "pdiv", "children": [{"var": "C"}, {"const": 2.0}]}]}
 
 
-def allowed(slot, value) -> bool:
+def counts(slot, value) -> list[int]:
+    """The integers value puts in a count field's slot."""
     if slot[1] in COUNTS and slot[0] in ("gp", "synth"):
-        values = value if isinstance(value, list) else [value]
-        return not any(type(v) is int and abs(v) > 64 for v in values)
-    return True
+        return [v for v in (value if isinstance(value, list) else [value]) if type(v) is int]
+    return []
+
+
+def allowed(slot, value) -> bool:
+    return not any(64 < v <= COUNTS[slot[1]] for v in counts(slot, value))
 
 
 def rejected(slot, value) -> bool:
-    """Whether value is of a kind its filter clause slot refuses."""
+    """Whether value is of a kind its filter clause slot refuses, or a count
+    above its cap."""
     section, key = slot
+    if any(v > COUNTS[key] for v in counts(slot, value)):
+        return True
     if section != "filter":
         return False
     if key == "name":

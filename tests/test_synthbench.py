@@ -18,6 +18,7 @@ from ecd.gpsr import GpConfig
 from ecd.synthbench import (
     GROUND_TRUTH,
     HOLDOUT_SEED,
+    MAX_ROWS,
     SynthConfig,
     generate,
     holdout_data,
@@ -41,6 +42,11 @@ class TestSynthConfig:
     def test_invalid(self):
         with pytest.raises(InvalidConfig):
             SynthConfig(n=1)
+        # The cap is checked when the config is built; no draw of that size starts.
+        SynthConfig(n=MAX_ROWS)
+        for n in (MAX_ROWS + 1, 10**400):
+            with pytest.raises(InvalidConfig, match="n must be at most"):
+                SynthConfig(n=n)
         for noise in (-0.01, math.inf, math.nan, 1.5, 1e200):
             with pytest.raises(InvalidConfig, match="noise_percent must be nonnegative and finite"):
                 SynthConfig(noise_percent=noise)
