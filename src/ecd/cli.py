@@ -19,7 +19,8 @@ from typing import Sequence
 
 from . import dataio, gpsr, ris, synthbench
 from .errors import EcdError, InvalidConfig, MalformedTree
-from .exprcore import DotLayout, ExpressionTree, Operator, subtree_at, to_dot, tree_to_json
+from .exprcore import DotLayout, ExpressionTree, Operator, subtree_at, to_dot
+from .exprcore import tree_to_json  # not called here: perfbench's tracer rebinds cli.tree_to_json
 
 log = logging.getLogger("ecd")
 
@@ -313,9 +314,9 @@ def cmd_counterfactual(args) -> int:
 
     lines = [
         "scenario: " + ", ".join(f"{k}={v:g}" for k, v in sorted(scenario.values.items())),
-        f"baseline output: {report.baseline_output:.3f}",
+        f"baseline output: {ris.format_value(report.baseline_output)}",
         f"intervention: {intervention.variable} {intervention.mode.value} {intervention.magnitude:g}",
-        f"perturbed output: {report.perturbed_output:.3f}",
+        f"perturbed output: {ris.format_value(report.perturbed_output)}",
         f"impact: {ris.format_impact(report.impact)}",
     ]
     if report.notes:
@@ -354,11 +355,7 @@ def cmd_simplify(args) -> int:
 
     out = _out_dir(cfg)
     doc = {
-        "schema_version": gpsr.MODEL_SCHEMA_VERSION,
-        "operators": [op.value for op in Operator],
-        "variables": sorted(variables),
-        "tree": tree_to_json(simplified),
-        "expression": simplified.infix,
+        **gpsr.tree_document(simplified, variables),
         "simplified_from_size": tree.size,
         "pruned_node_ids": list(pruned),
         "threshold": threshold,

@@ -32,7 +32,6 @@ from .exprcore import (
     OPERATORS,
     ExpressionTree,
     Operator,
-    Token,
     Tokens,
     dependency_set,
     evaluate_batch,  # not called here: perfbench's tracer rebinds gpsr.evaluate_batch
@@ -257,14 +256,6 @@ def _rng_streams(config: GpConfig) -> list[_Pcg64Stream]:
     return [_Pcg64Stream(s) for s in seqs]
 
 
-def _random_leaf(rng: Rng, variables: Sequence[str], constant_range) -> Token:
-    # Constants occupy one slot alongside the variables.
-    pick = rng.integers(len(variables) + 1)
-    if pick == len(variables):
-        return rng.uniform(*constant_range)
-    return variables[pick]
-
-
 def _random_tree(
     rng: Rng,
     variables: Sequence[str],
@@ -274,7 +265,9 @@ def _random_tree(
     full: bool,
 ) -> Tokens:
     """Preorder tokens of a random tree, emitted in the order they are drawn:
-    a leaf is _random_leaf's draws, an operator one integers(len(OPERATORS))."""
+    a leaf is one integers(len(variables) + 1), plus uniform(*constant_range)
+    when it picks the last slot, a constant; an operator is one
+    integers(len(OPERATORS)). At target_depth 0 the one token is a leaf."""
     integers, random, uniform = rng.integers, rng.random, rng.uniform
     n_vars, n_ops = len(variables), len(OPERATORS)
     lo, hi = constant_range
@@ -393,7 +386,7 @@ def _point_mutation(
         alternatives = [op for op in OPERATORS if op is not token]
         token = alternatives[rng.integers(len(alternatives))]
     else:
-        token = _random_leaf(rng, variables, constant_range)
+        (token,) = _random_tree(rng, variables, constant_range, 0, 0, full=True)
     return ExpressionTree(tree.tokens[:idx] + (token,) + tree.tokens[idx + 1 :])
 
 
@@ -450,17 +443,15 @@ def evolve(data: Dataset, response: str, config: GpConfig) -> FitResult:
     population = init_population(config, variables, streams[0])
 
     # Keyed by token tuple: equal tuples are equal trees, and constants are
-    # floats only, so no two distinct trees share a key.
+    # floats only, so no two distinct trees share a key. Every individual is
+    # scored through it, so an unchanged copy of a parent reads its entry.
     cache: dict[tuple, tuple[float, float]] = {}
 
     def score(ind: Individual) -> None:
-        if ind.fitness is not None:
-            return
         key = ind.tree.tokens
         hit = cache.get(key)
         if hit is None:
-            hit = fitness(ind.tree, data, response, config.parsimony_coeff)
-            cache[key] = hit
+            hit = cache[key] = fitness(ind.tree, data, response, config.parsimony_coeff)
         ind.fitness, ind.raw_mse = hit
 
     best: Individual | None = None
@@ -506,17 +497,13 @@ def evolve(data: Dataset, response: str, config: GpConfig) -> FitResult:
         rng = streams[generation + 1]
         offspring: list[Individual] = [population[i] for i in order[: config.elitism_count]]
         while len(offspring) < config.population_size:
-            parent = population[order[select(ranks, config.tournament_size, rng)]]
-            tree = parent.tree
+            tree = population[order[select(ranks, config.tournament_size, rng)]].tree
             if rng.random() < config.crossover_prob:
                 mate = population[order[select(ranks, config.tournament_size, rng)]]
                 tree, _ = crossover(tree, mate.tree, config.max_depth, rng)
             if rng.random() < config.mutation_prob:
                 tree = mutate(tree, variables, config.max_depth, config.constant_range, rng)
-            if tree is parent.tree:
-                offspring.append(Individual(tree, parent.fitness, parent.raw_mse))
-            else:
-                offspring.append(Individual(tree))
+            offspring.append(Individual(tree))
         population = offspring
 
     return FitResult(best=best, history=tuple(history), terminated_by=terminated_by)
@@ -539,15 +526,23 @@ def history_to_csv(history: Iterable[GenerationStats], path) -> None:
             )
 
 
-def model_document(best: Individual, variables: Sequence[str], config: GpConfig) -> dict:
-    """JSON-ready description of a fitted model: the tree as nested nodes plus
-    the operator set, variable universe, and the config that produced it."""
-    doc = {
+def tree_document(tree: ExpressionTree, variables: Sequence[str]) -> dict:
+    """The keys every model document shares: the tree as nested nodes, its
+    infix, the operator set and the sorted variable universe."""
+    return {
         "schema_version": MODEL_SCHEMA_VERSION,
         "operators": [op.value for op in OPERATORS],
         "variables": sorted(variables),
-        "tree": tree_to_json(best.tree),
-        "expression": best.tree.infix,
+        "tree": tree_to_json(tree),
+        "expression": tree.infix,
+    }
+
+
+def model_document(best: Individual, variables: Sequence[str], config: GpConfig) -> dict:
+    """JSON-ready description of a fitted model: tree_document's keys plus
+    the fitness and the config that produced it."""
+    doc = {
+        **tree_document(best.tree, variables),
         "fitness": best.fitness,
         "raw_mse": best.raw_mse,
         "config": asdict(config),

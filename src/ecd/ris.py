@@ -23,7 +23,7 @@ from .exprcore import (
     Operator,
     const_node,
     dependency_set,
-    evaluate,
+    evaluate,  # not called here: perfbench's tracer rebinds ris.evaluate
     evaluate_nodes,
     replace_at,
 )
@@ -119,13 +119,19 @@ class ImpactReport:
 
 def annotation(before: float, after: float) -> str:
     """A node's value before and after a perturbation, and the change."""
-    return f"{before:.3f} -> {after:.3f} ({format_impact(after - before)})"
+    return f"{format_value(before)} -> {format_value(after)} ({format_impact(after - before)})"
+
+
+def format_value(value: float) -> str:
+    """3 decimals, or .3e outside (-1e16, 1e16), format_constant's cutoff, so
+    labels stay short; nan and inf read as in .3f."""
+    return f"{value:.3f}" if -1e16 < value < 1e16 else f"{value:.3e}"
 
 
 def format_impact(value: float) -> str:
     if round(value, 3) == 0:
         return "±0.000"
-    return f"{value:+.3f}"
+    return f"{value:+.3f}" if -1e16 < value < 1e16 else f"{value:+.3e}"
 
 
 def format_baseline(value: float) -> str:
@@ -363,7 +369,10 @@ def simplify_by_impact(
     if not candidates:
         return tree, []
 
-    original_outputs = [nodes[0, 0] for nodes in per_quartile]
+    # A candidate is checked in one evaluation over the three baselines; a
+    # non-finite gap (inf - inf is NaN) fails the check quietly.
+    columns = {name: [b.values[name] for b in baselines] for name in baselines[0].values}
+    original_outputs = np.array([nodes[0, 0] for nodes in per_quartile])
 
     current = tree
     shift = 0  # nodes removed so far ahead of the next candidate
@@ -372,10 +381,9 @@ def simplify_by_impact(
         candidate = ExpressionTree(
             replace_at(current, orig_id - shift, const_node(q2_values[orig_id]))
         )
-        if all(
-            abs(evaluate(candidate, b.values) - original) <= threshold
-            for b, original in zip(baselines, original_outputs)
-        ):
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps = np.abs(evaluate_nodes(candidate, columns)[0] - original_outputs)
+        if (gaps <= threshold).all():
             current = candidate
             shift += ends[orig_id] - orig_id - 1
             pruned.append(orig_id)

@@ -911,41 +911,43 @@ def special_values_model(path):
 
 
 # sha256 of every file that ris, counterfactual and simplify write for the
-# special-values model; recorded before DOT rendering learned to reuse a
-# quartile's unchanged node labels, which must not move a byte.
+# special-values model. The DOT files and cf2's text were re-recorded when
+# values outside (-1e16, 1e16) began to print as .3e; every other hash dates
+# from before DOT rendering learned to reuse a quartile's unchanged node
+# labels, which must not move a byte.
 ANALYSIS_GOLDEN_SHA256 = {
-    "ris/impact_A_Q1.dot": "dd074f7ceaf97a42d437645fb8ac1737c01fa2927397ee7c889321c119d99fb6",
-    "ris/impact_A_Q2.dot": "4f3d8077b44cff2f35c7ebcc3bc3c69e872d2d4b37bb90b9de7883234c814590",
-    "ris/impact_A_Q3.dot": "2b038e3766d7aa691a28e21887c4210eed78eac5031bb24c139a69e17d0005bf",
-    "ris/impact_B_Q1.dot": "68538c647df62de0244d268d58ad8c6588559f22d0a903221bbb3d0878c2fcf4",
-    "ris/impact_B_Q2.dot": "e49e66dbb3283fb80154d17127a73440edb3c13a6bfbb84b7178d508a27d594d",
-    "ris/impact_B_Q3.dot": "85fd4fe6418d6bda72d941b4e3b28bcb9a3ec698e5b969cd1fcc0e0e722aada6",
+    "ris/impact_A_Q1.dot": "9c31b9ddaee2cacd439702dc208eaa7936877d99789ef7fc60e343d8b8074d25",
+    "ris/impact_A_Q2.dot": "0e13dd82d1fcd59b30f7a01dd12f420dfe9093a09a728b614193d117fee6daaa",
+    "ris/impact_A_Q3.dot": "fceeef158708c25ef0cbe13878f8dacc5021c92f021f6de4defd5b6fd0022e20",
+    "ris/impact_B_Q1.dot": "7fb6e2f23f23052a04f6d4ed7f3e1340cf4a954515b6c286922c7c1e20d28f75",
+    "ris/impact_B_Q2.dot": "5795cf06c775e3110c65f95783fa52ee2940a5d7d154d87a370c78603c6fee8c",
+    "ris/impact_B_Q3.dot": "8015d55ab91acaa1aad6d4f46e9d086b6529408dcb7acd6c5bb73e6b50520375",
     "ris/impact_table.json": "befd70f41a685e7ebcc96a93fdae321bd34a1249cfa3899473ffb38e42254872",
     "ris/impact_table.txt": "ca1341ae2cc5bfd0d4cb253f9a6413a8c34996eeed36c610616f8206e9a0ddf9",
-    "flip/impact_A_Q1.dot": "0040d2183035ff6edd253cb67ff37936c80e5bfb365d2ff5700277055bbdd8d4",
-    "flip/impact_A_Q2.dot": "9ba6500633ed3e5945658634bc0354134f15cd63a4b630bb3dccfe8b2fa38790",
-    "flip/impact_A_Q3.dot": "468a2b0d8adeaa044ccb2fd22d51f43ada395689f287b05525c255116b68f5f6",
-    "flip/impact_B_Q1.dot": "88783b090da3522d960d422c2f6d5016363c4f7af7a552c7bf293ca6e1968424",
-    "flip/impact_B_Q2.dot": "a792bc491e4f77f6657ca615e33e387c3e0ae17b8488684a94138d10c595bea6",
-    "flip/impact_B_Q3.dot": "ece657826f775acbc2940823d539027dc2823ca8ca673e81c641dbf7f186fc43",
+    "flip/impact_A_Q1.dot": "ead62c12e3dd196e53b41d3bcc7c367d8ebc86932b56f6ca8f785778cd06a6b6",
+    "flip/impact_A_Q2.dot": "cb06e5a3eaee86bb226ce963841633a541e656d425f9961d4b4cc65be8628207",
+    "flip/impact_A_Q3.dot": "4fc9b8ef9fb17235388f0171e65a81ed45e6ff2eecb0b3690cf7fa539aa72fba",
+    "flip/impact_B_Q1.dot": "7e5fd8af27b2cdc6f1d34f7cef676484bdd3b26d0b33fe07fc4a66343488c289",
+    "flip/impact_B_Q2.dot": "f045fede102c66edfd18e66caf4bcaf339054ee316ebb176f075ee7c00f32c85",
+    "flip/impact_B_Q3.dot": "caab1e12da963c6849a07bf9b642b7c0c2ddd17d531ff89af1253485dc9a6b9f",
     "flip/impact_table.json": "33682009b1619ffd5f96472c39f4836955a681b1b2bd16104c093bd7c8dc24bd",
     "flip/impact_table.txt": "df77a00393c3bd077a366eb1829a392736e4b7f81dc744e9cc89f95fc3af1fd5",
-    "abs/impact_A_Q1.dot": "a5deb71165130942c803db5072830ed70b10476765d4684c3d2e0ecb0a017a7d",
-    "abs/impact_A_Q2.dot": "4bffc6f7c8f97d0a77c1fa6cf89b0a4666b9998b4afd45808025dde7018554c8",
-    "abs/impact_A_Q3.dot": "8604e6a04d1d39f7d65dd4837867d112a97a002662811e7cee905fa1b29f6a3a",
-    "abs/impact_B_Q1.dot": "df3a3b4ebf39dd086bc6d952da04298f12c677f7f0bebb656af91875fac235cf",
-    "abs/impact_B_Q2.dot": "ddbc24703de0b74ef441dcfc34b74a259545f7cf7c4d16b00253196fcbd6a289",
-    "abs/impact_B_Q3.dot": "0396aafbbef28254c21414ceab887ac351182413e6c78e87eddc4bc5fed8cc72",
+    "abs/impact_A_Q1.dot": "30d795ac596855272093dab201d61530be042da20b3b5264b0838267586809fa",
+    "abs/impact_A_Q2.dot": "3572c6bbb7bca522c46c8933ef0369fd49b2666bc121ae6630b15bb6d31e87c0",
+    "abs/impact_A_Q3.dot": "eaf11cf93402b83ece213afc2db5c7a44a6377329fc1e0e15e000a17c5cb8f38",
+    "abs/impact_B_Q1.dot": "086c816a56b35e4a29ef3e0109c66b0f7401aa91a20de019fae0fb8da51c973f",
+    "abs/impact_B_Q2.dot": "6a9295e5c1fe509d9ad2719b5a19f36aa8ec30a8447a1c1c88e4aa4d1a7c6854",
+    "abs/impact_B_Q3.dot": "227f0ea96dc731bba7688cbcdbdfd71b3d65104bc4fdc3e336e617f38f24cb0c",
     "abs/impact_table.json": "f250b7c3aa4ec113291742b298a62d3e8141c748b622052258e7fa02baffb03d",
     "abs/impact_table.txt": "3d7c6de87cda512f6883652adb57240be4057496f23bd74f96a04664976a60b2",
     "simp/simplified_model.json": "cb49dd0cfb827c1299971793e375f80811b3ecae88da6f4724549175a9d31018",
     "simp/simplified_tree.dot": "421fe34c870fd0f767f7c10fa178585c16cdad5aad5c0ac64118a79cbe34544a",
-    "cf/counterfactual.dot": "e238f849a8ae737c83761480028518289898bd06d91de25b8ce0a9faec14244d",
+    "cf/counterfactual.dot": "b2ea5ec55b9884e2ea371e90a7dac3dbf5e046e3c1e671484d8b53255c0c2fc2",
     "cf/counterfactual.json": "c2b048b2d581e2d809fcf251bc138c01205eb46f189f4222d4ddf72932825093",
     "cf/counterfactual.txt": "db86926d5e623ef09cbcc4b4689391dcf55c513ede0baf4cbfec18741dc4c764",
-    "cf2/counterfactual.dot": "1a81c201908d15b9a25bafd1ee4be662efbe6676564cfe43b6e6411b6252eff0",
+    "cf2/counterfactual.dot": "3fdee80c2646a82a15a981218b1f30fdf4ae7c0f071c66fba7fefa1e5a64ef7a",
     "cf2/counterfactual.json": "261fc65bc0d21e2edd7ec0a839632fb5edec9acdd45854964a3342d65ce00608",
-    "cf2/counterfactual.txt": "775bf3b96335176e07c35dd15c4efc177600534187edf30134de9134cd945ba7",
+    "cf2/counterfactual.txt": "ca5291dfde5fbb1c67163884fea81cac678867c881afcfdbf1b071f4d71c6659",
 }
 
 

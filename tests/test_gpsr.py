@@ -36,6 +36,7 @@ from ecd.gpsr import (
     Individual,
     Termination,
     _Pcg64Stream,
+    _point_mutation,
     _rng_streams,
     crossover,
     diversity,
@@ -379,6 +380,34 @@ class TestMutate:
         )
         got = mutate(tree, ["A", "B"], 8, (-5.0, 5.0), stub)
         assert got.infix == "(A + (A + B))"
+
+    @staticmethod
+    def old_random_leaf(rng, variables, constant_range):
+        # The leaf draw point mutation made before it drew through _random_tree.
+        pick = rng.integers(len(variables) + 1)
+        if pick == len(variables):
+            return rng.uniform(*constant_range)
+        return variables[pick]
+
+    @pytest.mark.parametrize("make_rng", [
+        np.random.default_rng,
+        lambda seed: _Pcg64Stream(np.random.SeedSequence(seed)),
+    ])
+    def test_point_mutation_draws_a_leaf_as_random_leaf_did(self, make_rng):
+        constants = 0
+        for seed in range(300):
+            variables = ["A", "B", "C"][: 1 + seed % 3]
+            constant_range = (-5.0, 5.0) if seed % 2 else (0.25, 0.5)
+            new, old = make_rng(seed), make_rng(seed)
+            # A one-leaf tree: the node index draw, integers(1), draws nothing.
+            got = _point_mutation(ExpressionTree(const_node(1.5)), variables, constant_range, new)
+            expected = self.old_random_leaf(old, variables, constant_range)
+            assert got.tokens == (expected,) and type(got.tokens[0]) is type(expected)
+            constants += isinstance(expected, float)
+            # Both took the same draws, so the streams go on alike.
+            assert new.random() == old.random()
+            assert new.integers(2**32 - 1) == old.integers(2**32 - 1)
+        assert 50 < constants < 250
 
 
 class TestDiversity:

@@ -249,6 +249,19 @@ def test_kernel_matches_the_reference_evaluator_bit_for_bit(tokens, columns):
     assert same_bits(evaluate_nodes(tree, scenarios)[0], batch)
 
 
+@PROPERTY
+@given(
+    kernel_tokens | grown_tokens | constant_tokens,
+    st.lists(st.fixed_dictionaries({n: edge_leaves | st.sampled_from([math.inf, -math.inf, math.nan])
+                                     for n in VARS}), min_size=3, max_size=3),
+)
+def test_one_three_column_evaluation_is_three_one_column_evaluations(tokens, scenarios):
+    # simplify_by_impact checks a candidate at its three baselines this way.
+    tree = ExpressionTree(tokens)
+    root = evaluate_nodes(tree, {n: [s[n] for s in scenarios] for n in VARS})[0]
+    assert same_bits(root, [evaluate(tree, s) for s in scenarios])
+
+
 SHAPES = (  # tree sizes 1, 3 and 5
     var_node("u"),
     op_node(Operator.ADD, var_node("u"), var_node("v")),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ecd.exprcore import (
     op_node,
     replace_at,
     subtree_at,
+    to_dot,
     var_node,
 )
 from ecd.ris import (
@@ -429,6 +431,20 @@ class TestSimplifyByImpact:
                 diff = abs(evaluate(simplified, spec.values) - evaluate(tree, spec.values))
                 assert diff <= threshold
 
+    def test_candidate_infinite_at_a_baseline_is_refused_quietly(self):
+        # (B - B) is quiet with a finite Q2 value, so it is a candidate; the
+        # tree with it replaced is inf at every baseline, as the original is,
+        # and the gap inf - inf is NaN, which no threshold accepts.
+        overflow = op_node(Operator.MUL, const_node(1e308), const_node(10.0))
+        quiet = op_node(Operator.SUB, var_node("B"), var_node("B"))
+        tree = ExpressionTree(op_node(Operator.ADD, overflow, quiet))
+        data = Dataset({"B": [1.0, 2.0, 3.0, 4.0]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simplified, pruned = simplify_by_impact(tree, data, ["B"], threshold=0.5)
+        assert pruned == []
+        assert simplified is tree
+
     def test_negative_threshold_rejected(self):
         with pytest.raises(InvalidConfig):
             simplify_by_impact(bcd_tree(), bcd_data(), ["B", "C", "D"], threshold=-1.0)
@@ -442,6 +458,29 @@ class TestFormatting:
         assert format_impact(0.105) == "+0.105"
         assert format_impact(-0.17) == "-0.170"
         assert format_impact(1.0) == "+1.000"
+        assert format_impact(9.9e15) == "+9900000000000000.000"
+        assert format_impact(-1e16) == "-1.000e+16"
+        assert format_impact(1e308) == "+1.000e+308"
+        assert format_impact(math.inf) == "+inf"
+        assert format_impact(math.nan) == "+nan"
+
+    def test_annotation_bounds_huge_values_only(self):
+        assert annotation(1.5, 2.0) == "1.500 -> 2.000 (+0.500)"
+        assert annotation(1e308, 1e308) == "1.000e+308 -> 1.000e+308 (±0.000)"
+        assert annotation(-9.9e15, 1e16) == "-9900000000000000.000 -> 1.000e+16 (+1.990e+16)"
+        assert annotation(math.inf, -math.inf) == "inf -> -inf (-inf)"
+        assert annotation(math.nan, 1.0) == "nan -> 1.000 (+nan)"
+
+    def test_dot_lines_of_a_node_at_1e308_stay_short(self):
+        big = op_node(Operator.MUL, const_node(1e308), var_node("A"))
+        tree = ExpressionTree(op_node(Operator.SUB, big, const_node(-1e308)))
+        report = ris(
+            tree, BaselineSpec({"A": 1.0}, "Q1"), [PerturbationSpec("A", Mode.RELATIVE, -0.5)]
+        )[0]
+        dot = to_dot(tree, report.annotations())
+        annotated = [line for line in dot.splitlines() if "->" in line and "label=" in line]
+        assert len(annotated) == tree.size
+        assert max(map(len, annotated)) <= 200
 
     def test_format_baseline(self):
         assert format_baseline(29.44) == "29.4"
