@@ -2,8 +2,9 @@
 
 Subcommands: gen | fit | ris | counterfactual | simplify. A run is configured
 by an optional JSON file (--config) plus flags; each flag overwrites the one
-field it names. Logs go to stderr, artifacts to files under --out, and stdout
-stays silent unless --stdout explicitly asks for the primary artifact there.
+field it names, and main checks it all before any command runs. Logs go to
+stderr, artifacts to files under --out; each command returns its primary
+artifact, which main copies to stdout only under --stdout.
 """
 
 from __future__ import annotations
@@ -97,11 +98,11 @@ def _mode(name) -> ris.Mode:
 
 
 def _run_config(args) -> dict:
-    """The config file as {section: {key: value}}, "" for the top level, with
-    each given flag written over the field its dest names and every field
-    checked. --csv picks the CSV source and --synth the synthetic one; only
-    the chosen source's section is kept. A top-level seed is every seed;
-    "gp" and "synth" hold validated configs and "ris" holds every ris field."""
+    """The config file as {section: value}, "" for the top level, with each
+    given flag written over the field its dest names and every given section
+    built into the object its reader uses, whichever command runs. --csv
+    picks the CSV source and --synth the synthetic one; "data" and "synth"
+    are None unless they are the source. A top-level seed is every seed."""
     doc = _load_config_file(args.config) if args.config else {}
     cfg = {"": {k: v for k, v in doc.items() if k not in SECTIONS}, "gp": {}, "ris": {}}
     cfg.update((section, doc[section]) for section in SECTIONS if doc.get(section) is not None)
@@ -111,6 +112,7 @@ def _run_config(args) -> dict:
         sources = {"data"} if "data.csv" in flags else sources | {"data"}
     if getattr(args, "synth", False):
         sources = {"synth"}
+        cfg.setdefault("synth", {})
     for dest, value in flags.items():
         section, _, key = dest.partition(".")
         cfg[section] = {**cfg.get(section, {}), key: value}
@@ -123,17 +125,27 @@ def _run_config(args) -> dict:
 
     if len(sources) > 1:
         raise InvalidConfig("configure exactly one data source (csv or synth), not both")
-    for section in ("data", "synth"):
-        cfg[section] = cfg.get(section, {}) if section in sources else None
     for section in ("gp", "synth"):
-        if cfg[section] is not None and "seed" in cfg[""]:
+        if section in cfg and "seed" in cfg[""]:
             cfg[section]["seed"] = cfg[""]["seed"]
     preset = cfg["gp"].pop("preset", "")
     cfg["gp"] = gpsr.preset(preset, **cfg["gp"]) if preset else gpsr.GpConfig(**cfg["gp"])
-    if cfg["synth"] is not None:
-        cfg["synth"] = synthbench.SynthConfig(**cfg["synth"])
+    synth = synthbench.SynthConfig(**cfg["synth"]) if "synth" in cfg else None
+    cfg["synth"] = synth if "synth" in sources else None
+    cfg["data"] = cfg.get("data", {}) if "data" in sources else None
     cfg["ris"] = {**FIELDS["ris"], **cfg["ris"]}
     cfg["ris"]["mode"] = _mode(cfg["ris"]["mode"])
+    magnitude, threshold = cfg["ris"]["magnitude"], cfg["ris"]["threshold"]
+    if not math.isfinite(magnitude):
+        raise InvalidConfig(f"ris.magnitude is not finite: {magnitude!r}")
+    if not 0 <= threshold < math.inf:
+        raise InvalidConfig(f"ris.threshold must be nonnegative and finite, got {threshold!r}")
+    scenario = cfg.get("scenario")
+    cfg["scenario"] = ris.BaselineSpec(scenario, label="scenario") if scenario else None
+    given = cfg.get("intervention", {})
+    fields = {**FIELDS["intervention"], **given}
+    intervention = ris.PerturbationSpec(fields["variable"], _mode(fields["mode"]), fields["value"])
+    cfg["intervention"] = intervention if {"variable", "value"} <= given.keys() else None
     return cfg
 
 
@@ -173,14 +185,13 @@ def _load_model(path: str) -> tuple[ExpressionTree, tuple[str, ...]]:
     return gpsr.model_from_document(doc)
 
 
-def _write_json(path: Path, doc: dict) -> str:
-    """Write doc as sorted, indented JSON and return the text written."""
+def _write_json(path: Path, doc: dict) -> None:
+    """Write doc as sorted, indented JSON."""
     try:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     except RecursionError:
         raise MalformedTree(f"{path.name}: the tree is nested too deeply to write") from None
     path.write_text(text, encoding="utf-8")
-    return text
 
 
 def _parse_assignments(pairs: Sequence[str], what: str) -> dict[str, float]:
@@ -196,8 +207,7 @@ def _parse_assignments(pairs: Sequence[str], what: str) -> dict[str, float]:
     return out
 
 
-def cmd_gen(args) -> int:
-    cfg = _run_config(args)
+def cmd_gen(args, cfg: dict) -> Path:
     config = cfg["synth"]
     data, truth = synthbench.generate(config)
 
@@ -218,13 +228,10 @@ def cmd_gen(args) -> int:
         },
     )
     log.info("wrote %s (%d rows) and %s", csv_path, data.n_rows, truth_path)
-    if args.stdout:
-        sys.stdout.write(csv_path.read_text(encoding="utf-8"))
-    return 0
+    return csv_path
 
 
-def cmd_fit(args) -> int:
-    cfg = _run_config(args)
+def cmd_fit(args, cfg: dict) -> Path:
     data, response, predictors = _resolve_dataset(cfg)
     gp = cfg["gp"]
     log.info(
@@ -240,14 +247,12 @@ def cmd_fit(args) -> int:
     log.info("best expression: %s", best.tree.infix)
 
     out = _out_dir(cfg)
-    text = _write_json(out / "model.json", gpsr.model_document(best, predictors, gp))
+    _write_json(out / "model.json", gpsr.model_document(best, predictors, gp))
     gpsr.history_to_csv(result.history, out / "history.csv")
     (out / "expression.txt").write_text(best.tree.infix + "\n", encoding="utf-8")
     (out / "best_tree.dot").write_text(to_dot(best.tree), encoding="utf-8")
     log.info("artifacts in %s: model.json history.csv expression.txt best_tree.dot", out)
-    if args.stdout:
-        sys.stdout.write(text)
-    return 0
+    return out / "model.json"
 
 
 def _impact_dots(tree: ExpressionTree, table: ris.QuartileImpactTable):
@@ -262,8 +267,7 @@ def _impact_dots(tree: ExpressionTree, table: ris.QuartileImpactTable):
             yield f"impact_{name}_{label}.dot", layout.render(layout.lines(moved, quiet))
 
 
-def cmd_ris(args) -> int:
-    cfg = _run_config(args)
+def cmd_ris(args, cfg: dict) -> Path:
     tree, variables = _load_model(args.model)
     data, _, _ = _resolve_dataset(cfg)
     predictors = list(variables)
@@ -281,9 +285,7 @@ def cmd_ris(args) -> int:
     for filename, dot in _impact_dots(tree, table):
         (out / filename).write_text(dot, encoding="utf-8")
     log.info("impact table and per-cell DOT files written to %s", out)
-    if args.stdout:
-        sys.stdout.write(table.to_text())
-    return 0
+    return out / "impact_table.txt"
 
 
 def _describe_node(tree: ExpressionTree, node_id: int) -> str:
@@ -293,18 +295,13 @@ def _describe_node(tree: ExpressionTree, node_id: int) -> str:
     return text
 
 
-def cmd_counterfactual(args) -> int:
-    cfg = _run_config(args)
+def cmd_counterfactual(args, cfg: dict) -> Path:
     tree, variables = _load_model(args.model)
-
-    if not cfg.get("scenario"):
+    scenario, intervention = cfg["scenario"], cfg["intervention"]
+    if scenario is None:
         raise InvalidConfig("counterfactual needs a scenario (--at NAME=VALUE or config)")
-    scenario = ris.BaselineSpec(cfg["scenario"], label="scenario")
-    section = cfg.get("intervention", {})
-    if not {"variable", "value"} <= section.keys():
+    if intervention is None:
         raise InvalidConfig("counterfactual needs an intervention (--set NAME=VALUE or config)")
-    mode = _mode(section.get("mode", ris.Mode.SET_TO.value))
-    intervention = ris.PerturbationSpec(section["variable"], mode, section["value"])
 
     report = ris.counterfactual(tree, scenario, intervention)
     annotations = report.annotations()
@@ -332,13 +329,10 @@ def cmd_counterfactual(args) -> int:
     (out / "counterfactual.dot").write_text(to_dot(tree, annotations), encoding="utf-8")
     log.info("counterfactual report written to %s", out)
     sys.stderr.write(text)
-    if args.stdout:
-        sys.stdout.write(text)
-    return 0
+    return out / "counterfactual.txt"
 
 
-def cmd_simplify(args) -> int:
-    cfg = _run_config(args)
+def cmd_simplify(args, cfg: dict) -> Path:
     tree, variables = _load_model(args.model)
     data, _, _ = _resolve_dataset(cfg)
     magnitude, threshold = cfg["ris"]["magnitude"], cfg["ris"]["threshold"]
@@ -361,11 +355,9 @@ def cmd_simplify(args) -> int:
         "threshold": threshold,
         "magnitude": magnitude,
     }
-    text = _write_json(out / "simplified_model.json", doc)
+    _write_json(out / "simplified_model.json", doc)
     (out / "simplified_tree.dot").write_text(to_dot(simplified), encoding="utf-8")
-    if args.stdout:
-        sys.stdout.write(text)
-    return 0
+    return out / "simplified_model.json"
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -377,6 +369,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_synth_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n", dest="synth.n", type=int, help="synthetic sample count (default 500)")
+    parser.add_argument(
+        "--noise", dest="synth.noise_percent", type=float, help="synthetic noise fraction, e.g. 0.05"
+    )
+
+
 def _add_data_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--csv", dest="data.csv", help="input CSV path")
     parser.add_argument("--response", dest="data.response", help="response column name")
@@ -385,10 +384,7 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
         type=lambda text: [p.strip() for p in text.split(",") if p.strip()],
     )
     parser.add_argument("--synth", action="store_true", help="use the synthetic generator")
-    parser.add_argument("--n", dest="synth.n", type=int, help="synthetic sample count")
-    parser.add_argument(
-        "--noise", dest="synth.noise_percent", type=float, help="synthetic noise fraction, e.g. 0.05"
-    )
+    _add_synth_flags(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,8 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write a synthetic dataset and its ground truth")
     _add_common(p)
-    p.add_argument("--n", dest="synth.n", type=int, help="sample count (default 500)")
-    p.add_argument("--noise", dest="synth.noise_percent", type=float, help="noise fraction, e.g. 0.05")
+    _add_synth_flags(p)
     p.set_defaults(func=cmd_gen, synth=True)
 
     p = sub.add_parser("fit", help="evolve an expression tree for a response column")
@@ -447,7 +442,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        artifact = args.func(args, _run_config(args))
+        if args.stdout:
+            sys.stdout.write(artifact.read_text(encoding="utf-8"))
+        return 0
     except EcdError as exc:
         log.error("%s", exc)
         return 1

@@ -64,7 +64,7 @@ class PerturbationSpec:
 
     def __post_init__(self):
         if not math.isfinite(self.magnitude):
-            raise InvalidConfig(f"{self.variable} perturbation is not finite: {self.magnitude!r}")
+            raise InvalidConfig(f"perturbation of {self.variable!r} is not finite: {self.magnitude!r}")
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,8 @@ def format_impact(value: float) -> str:
 
 
 def format_baseline(value: float) -> str:
-    return f"{value:.1f}"
+    """1 decimal, or .1e outside (-1e16, 1e16) as in format_value."""
+    return f"{value:.1f}" if -1e16 < value < 1e16 else f"{value:.1e}"
 
 
 def perturbed_values(

@@ -372,6 +372,23 @@ class TestRis:
         assert small["perturbation"]["magnitude"] == 0.01
         assert abs(big["rows"][0]["impacts"][0]) > abs(small["rows"][0]["impacts"][0])
 
+    def test_huge_baseline_row_stays_short(self, tmp_path):
+        # Baselines outside (-1e16, 1e16) print in exponent form, as impacts do,
+        # not as a 300-digit number per cell.
+        model_path = tmp_path / "model.json"
+        tree = ExpressionTree(op_node(Operator.MUL, var_node("A"), const_node(10.0)))
+        write_model(model_path, tree, ["A"])
+        data_path = tmp_path / "data.csv"
+        write_csv(data_path, {"A": [1e300, 2e300, 3e300], "Z": [0, 0, 0]})
+        out = tmp_path / "out"
+        assert main(
+            ["ris", "--model", str(model_path), "--csv", str(data_path), "--response", "Z",
+             "--predictors", "A", "--out", str(out)]
+        ) == 0
+        lines = (out / "impact_table.txt").read_text().splitlines()
+        assert max(len(line) for line in lines) <= 200
+        assert lines[-1].split() == ["Baseline", "1.5e+301", "2.0e+301", "2.5e+301"]
+
     def test_data_missing_model_variable(self, tmp_path):
         model_path = tmp_path / "model.json"
         bcd_model(model_path)
@@ -838,6 +855,66 @@ def test_config_float_beyond_range(tmp_path, field, literal, like):
     expected = run(like, "like")
     assert expected in (0, 1)
     assert run(literal, "got") == expected
+
+
+# One config shared by all five commands, each of whose sections is valid.
+SHARED_CONFIG = {
+    "gp": TINY_GP,
+    "synth": {"n": 30},
+    "ris": {"mode": "relative", "magnitude": 0.05, "threshold": 0.0},
+    "scenario": {"B": 2, "C": 3, "D": 5},
+    "intervention": SET_D,
+}
+
+# "section.key" -> (bad value, the error it ends in)
+BAD_FIELDS = {
+    "synth.n": (-5, "n must be at least 2"),
+    "synth.noise_percent": (7, "noise_percent must be nonnegative and finite, at most 1"),
+    "ris.magnitude": (float("nan"), "ris.magnitude is not finite"),
+    "ris.threshold": (-1, "ris.threshold must be nonnegative and finite"),
+    "scenario.B": (float("nan"), "baseline value for 'B' is non-finite"),
+    "intervention.mode": ("bogus", "unknown perturbation mode 'bogus'"),
+    "intervention.value": (float("nan"), "perturbation of 'D' is not finite"),
+}
+
+
+@pytest.mark.parametrize("field", [None, *BAD_FIELDS])
+@pytest.mark.parametrize("command", ["gen", "fit", "ris", "counterfactual", "simplify"])
+def test_every_command_checks_every_section(tmp_path, caplog, command, field):
+    """A shared config with one bad field stops every command before it
+    writes anything, whether or not the command reads that field."""
+    model_path, data_path = ris_fixture(tmp_path)
+    data = ["--csv", str(data_path), "--response", "Z", "--predictors", "B,C,D"]
+    argv = {
+        "gen": ["gen"],
+        "fit": ["fit", *data],
+        "ris": ["ris", "--model", str(model_path), *data],
+        "counterfactual": ["counterfactual", "--model", str(model_path)],
+        "simplify": ["simplify", "--model", str(model_path), *data],
+    }[command]
+    doc = dict(SHARED_CONFIG)
+    if field is not None:
+        section, key = field.split(".")
+        doc[section] = {**doc[section], key: BAD_FIELDS[field][0]}
+    cfg = tmp_path / "config.json"
+    write_config(cfg, doc)
+    out = tmp_path / "out"
+    code = main([*argv, "--config", str(cfg), "--out", str(out)])
+    if field is None:
+        assert code == 0
+    else:
+        assert code == 1
+        assert BAD_FIELDS[field][1] in caplog.text
+        assert not out.exists()
+
+
+def test_mode_of_incomplete_intervention_is_checked(tmp_path, caplog):
+    cfg = tmp_path / "config.json"
+    write_config(cfg, {"gp": TINY_GP, "intervention": {"mode": "bogus"}})
+    out = tmp_path / "out"
+    assert main(["fit", "--synth", "--n", "20", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "unknown perturbation mode 'bogus'" in caplog.text
+    assert not out.exists()
 
 
 # sha256 of artifacts of one small fixed-seed fit and of the analyses of its
