@@ -2,9 +2,11 @@
 
 Subcommands: gen | fit | ris | counterfactual | simplify. A run is configured
 by an optional JSON file (--config) plus flags; each flag overwrites the one
-field it names, and main checks it all before any command runs. Logs go to
-stderr, artifacts to files under --out; each command returns its primary
-artifact, which main copies to stdout only under --stdout.
+field it names, and main checks it all before any command runs. A flag's
+text is checked as that field's value in the file is, and every refusal, of
+a flag or of the file, exits 1 with one ERROR line. Logs go to stderr,
+artifacts to files under --out; each command returns its primary artifact,
+which main copies to stdout only under --stdout.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ log = logging.getLogger("ecd")
 
 # Every field a config file may set, as {section: {key: default}} with "" for
 # the top level. A value must be of its default's JSON kind (see _typed); a
-# field that has no default, such as data.csv, lists a value of its kind. A
-# flag overwrites the field its argparse dest names, as "section.key".
+# field that has no default, such as data.csv, lists a value of its kind.
 FIELDS: dict[str, dict] = {
     "": dict(seed=0, out="."),
     "data": dict(csv="", response="", predictors=[""], missing_policy="drop_row", filter=[]),
@@ -41,16 +42,58 @@ FIELDS: dict[str, dict] = {
 # Sections of a config file; scenario maps any variable name to a number.
 SECTIONS = (*(section for section in FIELDS if section), "scenario")
 
+# Every flag, as {flag: its add_argument keywords}. A flag whose dest is
+# "section.key" overwrites that field: _flag_value reads its text as a value
+# of the field's kind, which _typed then checks as it checks the file's.
+FLAGS: dict[str, dict] = {
+    "--config": dict(help="JSON run-config file"),
+    "--seed": dict(dest=".seed", metavar="N", help="override every seed"),
+    "--out": dict(dest=".out", metavar="DIR", help="output directory (default: cwd)"),
+    "--stdout": dict(action="store_true", help="also print the primary artifact to stdout"),
+    "--csv": dict(dest="data.csv", help="input CSV path"),
+    "--response": dict(dest="data.response", help="response column name"),
+    "--predictors": dict(dest="data.predictors", help="comma-separated predictor columns"),
+    "--synth": dict(action="store_true", help="use the synthetic generator"),
+    "--n": dict(dest="synth.n", help="synthetic sample count (default 500)"),
+    "--noise": dict(dest="synth.noise_percent", help="synthetic noise fraction, e.g. 0.05"),
+    "--model": dict(required=True, help="model JSON from fit"),
+    "--mode": dict(dest="ris.mode", help="perturbation mode: relative, absolute or set_to"),
+    "--magnitude": dict(dest="ris.magnitude", help="perturbation magnitude"),
+    "--threshold": dict(dest="ris.threshold", help="maximum tolerated output change"),
+    "--at": dict(action="append", metavar="NAME=VALUE", help="scenario binding"),
+    "--set": dict(metavar="NAME=VALUE", help="intervention: set variable to value"),
+}
 
-def _load_config_file(path: str) -> dict:
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises InvalidConfig where argparse would exit 2."""
+
+    def error(self, message):
+        raise InvalidConfig(message)
+
+
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    if not isinstance(doc, dict):
-        raise InvalidConfig("config file must contain a JSON object")
-    for key in SECTIONS:
-        if doc.get(key) is not None and not isinstance(doc[key], dict):
-            raise InvalidConfig(f"config section {key!r} must be an object")
-    return doc
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise EcdError(f"{path} is nested too deeply to read") from None
+
+
+def _flag_value(text: str, default):
+    """A flag's text as a value of default's kind, for _typed to check: a
+    comma list for a list, the text for a string, else the number the text
+    reads as (an int first where default is an int), else the text itself."""
+    if isinstance(default, list):
+        return [item.strip() for item in text.split(",") if item.strip()]
+    if isinstance(default, str):
+        return text
+    for kind in (type(default), float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
 def _typed(value, default, what: str):
@@ -101,21 +144,27 @@ def _run_config(args) -> dict:
     """The config file as {section: value}, "" for the top level, with each
     given flag written over the field its dest names and every given section
     built into the object its reader uses, whichever command runs. --csv
-    picks the CSV source and --synth the synthetic one; "data" and "synth"
-    are None unless they are the source. A top-level seed is every seed."""
-    doc = _load_config_file(args.config) if args.config else {}
+    picks the CSV source and --synth, as gen does, the synthetic one; "data"
+    and "synth" are None unless they are a source. A top-level seed is every
+    seed."""
+    doc = _read_json(args.config) if args.config else {}
+    if not isinstance(doc, dict):
+        raise InvalidConfig("config file must contain a JSON object")
+    for key in SECTIONS:
+        if doc.get(key) is not None and not isinstance(doc[key], dict):
+            raise InvalidConfig(f"config section {key!r} must be an object")
     cfg = {"": {k: v for k, v in doc.items() if k not in SECTIONS}, "gp": {}, "ris": {}}
     cfg.update((section, doc[section]) for section in SECTIONS if doc.get(section) is not None)
-    flags = {dest: value for dest, value in vars(args).items() if "." in dest and value is not None}
+    flags = {dest: text for dest, text in vars(args).items() if "." in dest and text is not None}
     sources = {section for section in ("data", "synth") if section in cfg}
     if any(dest.startswith("data.") for dest in flags):
         sources = {"data"} if "data.csv" in flags else sources | {"data"}
-    if getattr(args, "synth", False):
+    if args.command == "gen" or getattr(args, "synth", False):
         sources = {"synth"}
         cfg.setdefault("synth", {})
-    for dest, value in flags.items():
+    for dest, text in flags.items():
         section, _, key = dest.partition(".")
-        cfg[section] = {**cfg.get(section, {}), key: value}
+        cfg[section] = {**cfg.get(section, {}), key: _flag_value(text, FIELDS[section][key])}
     if getattr(args, "at", None):
         cfg["scenario"] = {**cfg.get("scenario", {}), **_parse_assignments(args.at, "--at")}
     if getattr(args, "set", None):
@@ -123,8 +172,6 @@ def _run_config(args) -> dict:
         cfg["intervention"] = {"variable": variable, "value": value}
     cfg = {section: _checked(section, given) for section, given in cfg.items()}
 
-    if len(sources) > 1:
-        raise InvalidConfig("configure exactly one data source (csv or synth), not both")
     for section in ("gp", "synth"):
         if section in cfg and "seed" in cfg[""]:
             cfg[section]["seed"] = cfg[""]["seed"]
@@ -156,7 +203,9 @@ def _out_dir(cfg: dict) -> Path:
 
 
 def _resolve_dataset(cfg: dict) -> tuple[dataio.Dataset, str, list[str]]:
-    """(dataset, response, predictors) from whichever source is configured."""
+    """(dataset, response, predictors) from the one configured source."""
+    if cfg["synth"] is not None and cfg["data"] is not None:
+        raise InvalidConfig("configure exactly one data source (csv or synth), not both")
     if cfg["synth"] is not None:
         data, truth = synthbench.generate(cfg["synth"])
         predictors = [n for n in data.names if n != truth.response]
@@ -176,15 +225,6 @@ def _resolve_dataset(cfg: dict) -> tuple[dataio.Dataset, str, list[str]]:
     return data, roles.response, list(roles.predictors)
 
 
-def _load_model(path: str) -> tuple[ExpressionTree, tuple[str, ...]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except RecursionError:
-            raise MalformedTree(f"model document {path} is nested too deeply to read") from None
-    return gpsr.model_from_document(doc)
-
-
 def _write_json(path: Path, doc: dict) -> None:
     """Write doc as sorted, indented JSON."""
     try:
@@ -194,16 +234,14 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _parse_assignments(pairs: Sequence[str], what: str) -> dict[str, float]:
-    out: dict[str, float] = {}
+def _parse_assignments(pairs: Sequence[str], what: str) -> dict:
+    """{NAME: value} of NAME=VALUE pairs, each value read as a number flag's."""
+    out = {}
     for pair in pairs:
         name, sep, value = pair.partition("=")
         if not sep or not name:
             raise InvalidConfig(f"{what} must look like NAME=VALUE, got {pair!r}")
-        try:
-            out[name.strip()] = float(value)
-        except ValueError:
-            raise InvalidConfig(f"{what} value for {name!r} is not numeric: {value!r}") from None
+        out[name.strip()] = _flag_value(value, 0.0)
     return out
 
 
@@ -268,13 +306,12 @@ def _impact_dots(tree: ExpressionTree, table: ris.QuartileImpactTable):
 
 
 def cmd_ris(args, cfg: dict) -> Path:
-    tree, variables = _load_model(args.model)
+    tree, variables = gpsr.model_from_document(_read_json(args.model))
     data, _, _ = _resolve_dataset(cfg)
-    predictors = list(variables)
     table = ris.quartile_impact_table(
         data=data,
         tree=tree,
-        predictors=predictors,
+        predictors=list(variables),
         perturbation_mode=cfg["ris"]["mode"],
         magnitude=cfg["ris"]["magnitude"],
     )
@@ -296,7 +333,7 @@ def _describe_node(tree: ExpressionTree, node_id: int) -> str:
 
 
 def cmd_counterfactual(args, cfg: dict) -> Path:
-    tree, variables = _load_model(args.model)
+    tree, variables = gpsr.model_from_document(_read_json(args.model))
     scenario, intervention = cfg["scenario"], cfg["intervention"]
     if scenario is None:
         raise InvalidConfig("counterfactual needs a scenario (--at NAME=VALUE or config)")
@@ -333,7 +370,7 @@ def cmd_counterfactual(args, cfg: dict) -> Path:
 
 
 def cmd_simplify(args, cfg: dict) -> Path:
-    tree, variables = _load_model(args.model)
+    tree, variables = gpsr.model_from_document(_read_json(args.model))
     data, _, _ = _resolve_dataset(cfg)
     magnitude, threshold = cfg["ris"]["magnitude"], cfg["ris"]["threshold"]
     simplified, pruned = ris.simplify_by_impact(
@@ -360,78 +397,31 @@ def cmd_simplify(args, cfg: dict) -> Path:
     return out / "simplified_model.json"
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON run-config file")
-    parser.add_argument("--seed", dest=".seed", metavar="N", type=int, help="override every seed")
-    parser.add_argument("--out", dest=".out", metavar="DIR", help="output directory (default: cwd)")
-    parser.add_argument(
-        "--stdout", action="store_true", help="also print the primary artifact to stdout"
-    )
-
-
-def _add_synth_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", dest="synth.n", type=int, help="synthetic sample count (default 500)")
-    parser.add_argument(
-        "--noise", dest="synth.noise_percent", type=float, help="synthetic noise fraction, e.g. 0.05"
-    )
-
-
-def _add_data_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--csv", dest="data.csv", help="input CSV path")
-    parser.add_argument("--response", dest="data.response", help="response column name")
-    parser.add_argument(
-        "--predictors", dest="data.predictors", help="comma-separated predictor columns",
-        type=lambda text: [p.strip() for p in text.split(",") if p.strip()],
-    )
-    parser.add_argument("--synth", action="store_true", help="use the synthetic generator")
-    _add_synth_flags(parser)
+COMMON = ("--config", "--seed", "--out", "--stdout")
+DATA = ("--csv", "--response", "--predictors", "--synth", "--n", "--noise")
+# Each command, as {name: (function, help, its flags besides COMMON)}.
+COMMANDS = {
+    "gen": (cmd_gen, "write a synthetic dataset and its ground truth", ("--n", "--noise")),
+    "fit": (cmd_fit, "evolve an expression tree for a response column", DATA),
+    "ris": (cmd_ris, "quartile impact table for a fitted model", (*DATA, "--model", "--mode", "--magnitude")),
+    "counterfactual": (cmd_counterfactual, "what-if analysis on a scenario", ("--model", "--at", "--set")),
+    "simplify": (
+        cmd_simplify, "prune inert subtrees of a fitted model", (*DATA, "--model", "--magnitude", "--threshold")
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ecd",
         description="Fit expression trees by evolutionary search and analyze them "
         "with perturbation-based impact stratification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="write a synthetic dataset and its ground truth")
-    _add_common(p)
-    _add_synth_flags(p)
-    p.set_defaults(func=cmd_gen, synth=True)
-
-    p = sub.add_parser("fit", help="evolve an expression tree for a response column")
-    _add_common(p)
-    _add_data_flags(p)
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("ris", help="quartile impact table for a fitted model")
-    _add_common(p)
-    _add_data_flags(p)
-    p.add_argument("--model", required=True, help="model JSON from fit")
-    p.add_argument(
-        "--mode", dest="ris.mode", choices=[m.value for m in ris.Mode], help="perturbation mode"
-    )
-    p.add_argument("--magnitude", dest="ris.magnitude", type=float, help="perturbation magnitude")
-    p.set_defaults(func=cmd_ris)
-
-    p = sub.add_parser("counterfactual", help="what-if analysis on a scenario")
-    _add_common(p)
-    p.add_argument("--model", required=True, help="model JSON from fit")
-    p.add_argument("--at", action="append", metavar="NAME=VALUE", help="scenario binding")
-    p.add_argument("--set", metavar="NAME=VALUE", help="intervention: set variable to value")
-    p.set_defaults(func=cmd_counterfactual)
-
-    p = sub.add_parser("simplify", help="prune inert subtrees of a fitted model")
-    _add_common(p)
-    _add_data_flags(p)
-    p.add_argument("--model", required=True, help="model JSON from fit")
-    p.add_argument("--magnitude", dest="ris.magnitude", type=float, help="perturbation magnitude")
-    p.add_argument(
-        "--threshold", dest="ris.threshold", type=float, help="maximum tolerated output change"
-    )
-    p.set_defaults(func=cmd_simplify)
-
+    for name, (_, text, flags) in COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for flag in (*COMMON, *flags):
+            command.add_argument(flag, **FLAGS[flag])
     return parser
 
 
@@ -439,12 +429,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(
         stream=sys.stderr, level=logging.INFO, format="%(levelname)s: %(message)s"
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        artifact = args.func(args, _run_config(args))
+        args = build_parser().parse_args(argv)
+        artifact = COMMANDS[args.command][0](args, _run_config(args))
         if args.stdout:
-            sys.stdout.write(artifact.read_text(encoding="utf-8"))
+            with open(artifact, encoding="utf-8", newline="") as handle:
+                sys.stdout.write(handle.read())
         return 0
     except EcdError as exc:
         log.error("%s", exc)
@@ -452,7 +442,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FileNotFoundError as exc:
         log.error("file not found: %s", exc.filename or exc)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         log.error("%s", exc)
         return 1
     except json.JSONDecodeError as exc:

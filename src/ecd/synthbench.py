@@ -105,9 +105,9 @@ def generate(config: SynthConfig) -> tuple[Dataset, GroundTruth]:
     return data, GROUND_TRUTH
 
 
-def holdout_data(n: int = 500) -> Dataset:
-    """The fixed noiseless dataset all scoring uses."""
-    data, _ = generate(SynthConfig(n=n, seed=HOLDOUT_SEED, noise_percent=0.0))
+def holdout_data() -> Dataset:
+    """The fixed noiseless 500-row dataset all scoring uses."""
+    data, _ = generate(SynthConfig(n=500, seed=HOLDOUT_SEED, noise_percent=0.0))
     return data
 
 

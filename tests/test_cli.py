@@ -92,8 +92,8 @@ class TestGen:
     def test_stdout_mirrors_file(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["gen", "--out", str(out), "--n", "20", "--seed", "1", "--stdout"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == (out / "synthetic.csv").read_text()
+        # the file's exact text, its \r\n line ends included
+        assert capsys.readouterr().out == (out / "synthetic.csv").read_bytes().decode("utf-8")
 
     def test_invalid_n(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path), "--n", "1"]) == 1
@@ -371,6 +371,21 @@ class TestRis:
         big = json.loads((tmp_path / "big" / "impact_table.json").read_text())
         assert small["perturbation"]["magnitude"] == 0.01
         assert abs(big["rows"][0]["impacts"][0]) > abs(small["rows"][0]["impacts"][0])
+
+    def test_stdout_keeps_carriage_return_in_name(self, tmp_path, capsys):
+        # --stdout prints the table's exact text, a "\r" inside a name included
+        model_path = tmp_path / "model.json"
+        write_model(model_path, ExpressionTree(op_node(Operator.MUL, var_node("A\rB"), const_node(2.0))), ["A\rB"])
+        data_path = tmp_path / "data.csv"
+        write_csv(data_path, {"A\rB": [1.0, 2.0, 3.0, 4.0], "Z": [2.0, 4.0, 6.0, 8.0]})
+        out = tmp_path / "out"
+        assert main(
+            ["ris", "--model", str(model_path), "--csv", str(data_path), "--response", "Z",
+             "--predictors", "A\rB", "--out", str(out), "--stdout"]
+        ) == 0
+        text = (out / "impact_table.txt").read_bytes().decode("utf-8")
+        assert "A\rB" in text
+        assert capsys.readouterr().out == text
 
     def test_huge_baseline_row_stays_short(self, tmp_path):
         # Baselines outside (-1e16, 1e16) print in exponent form, as impacts do,
@@ -914,6 +929,84 @@ def test_mode_of_incomplete_intervention_is_checked(tmp_path, caplog):
     out = tmp_path / "out"
     assert main(["fit", "--synth", "--n", "20", "--config", str(cfg), "--out", str(out)]) == 1
     assert "unknown perturbation mode 'bogus'" in caplog.text
+    assert not out.exists()
+
+
+def test_counterfactual_takes_config_with_both_sources(tmp_path, caplog):
+    """counterfactual reads no data, so a config it shares with fit may have
+    both a data and a synth section; fit, which reads the data, refuses it."""
+    model_path = tmp_path / "model.json"
+    bcd_model(model_path)
+    cfg = tmp_path / "config.json"
+    write_config(cfg, dict(SHARED_CONFIG, data={"csv": "absent.csv", "response": "Z", "predictors": ["B"]}))
+    argv = ["counterfactual", "--model", str(model_path), "--config", str(cfg)]
+    assert main([*argv, "--out", str(tmp_path / "cf")]) == 0
+    assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "fit")]) == 1
+    assert "configure exactly one data source" in caplog.text
+    assert not (tmp_path / "fit").exists()
+
+
+# Argv faults, as {id: (argv, the message of the one ERROR line it ends in)}:
+# argparse's own refusals, and a flag's text that reads as the same bad value
+# of its config field would. MODEL stands for the path of a valid model.
+ARGV_FAULTS = {
+    "n-not-a-number": (["fit", "--synth", "--n", "abc"], "synth.n must be a number, got 'abc'"),
+    "unknown-flag": (["fit", "--bogus"], "unrecognized arguments: --bogus"),
+    "no-model": (["ris", "--synth"], "the following arguments are required: --model"),
+    "unknown-mode": (["ris", "--model", "MODEL", "--synth", "--mode", "bogus"], "unknown perturbation mode 'bogus'"),
+    "float-seed": (["fit", "--synth", "--seed", "3.0"], "seed must be a number, got 3.0"),
+    "set-not-a-number": (
+        ["counterfactual", "--model", "MODEL", "--at", "D=5", "--set", "D=x"],
+        "intervention.value must be a number, got 'x'",
+    ),
+    "at-not-a-number": (
+        ["counterfactual", "--model", "MODEL", "--at", "A=x", "--set", "D=6"],
+        "scenario.A must be a number, got 'x'",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", ARGV_FAULTS)
+def test_argv_fault_exits_1(tmp_path, capsys, caplog, fault):
+    argv, message = ARGV_FAULTS[fault]
+    model_path = tmp_path / "model.json"
+    bcd_model(model_path)
+    out = tmp_path / "out"
+    argv = [str(model_path) if arg == "MODEL" else arg for arg in argv]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [message]
+    assert "usage:" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"], ["counterfactual", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ecd")
+
+
+def test_deeply_nested_config(tmp_path, caplog):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"seed": ' + "[" * 5000 + "]" * 5000 + "}", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["fit", "--synth", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "nested too deeply to read" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--config", "--model", "--csv"])
+def test_file_that_is_not_utf8(tmp_path, caplog, flag):
+    model_path, data_path = ris_fixture(tmp_path)
+    cfg = tmp_path / "config.json"
+    write_config(cfg, {})
+    {"--config": cfg, "--model": model_path, "--csv": data_path}[flag].write_bytes(b"A,B\xff\n1,2\n")
+    out = tmp_path / "out"
+    argv = ["ris", "--model", str(model_path), "--csv", str(data_path), "--response", "Z",
+            "--predictors", "B,C,D", "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 1
+    assert "can't decode byte 0xff" in caplog.text
     assert not out.exists()
 
 

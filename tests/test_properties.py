@@ -4,7 +4,10 @@ Runs are derandomized, so every run draws the same examples, and bounded, so
 the suite's time barely moves.
 """
 
+import contextlib
+import io
 import json
+import logging
 import math
 import os
 import tempfile
@@ -16,7 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import VARS, naive_eval
-from ecd.cli import FIELDS, _impact_dots, main
+from ecd.cli import FIELDS, FLAGS, _impact_dots, main
 from ecd.dataio import Dataset
 from ecd.exprcore import (
     DIV_EPSILON,
@@ -415,3 +418,52 @@ def test_every_slot_takes_boundary_values_without_traceback(slot):
 def test_any_json_in_any_slot_exits_without_traceback(slot, value):
     assume(allowed(slot, value))
     assert run_slot(slot, value) in ((1,) if rejected(slot, value) else (0, 1))
+
+
+# Never a traceback from argv either: random flags from the CLI's table, each
+# with short random text, on gen (50 rows unless --n says otherwise) and on
+# ris and counterfactual over a tiny model. Every call exits 0 or 1 with no
+# traceback on stderr, and a call that exits 1 leaves its directory as it
+# found it, so it made no --out directory. The text has no path separator or
+# dot, so an --out value stays inside the run's directory.
+FLAG_TEXT = st.text("0123456789-e=,BCinfa", max_size=3)
+BASE_ARGV = {
+    "gen": ["gen", "--n", "50"],
+    "ris": ["ris", "--model", "model.json", "--csv", "data.csv", "--response", "Z", "--predictors", "B,C,D"],
+    "counterfactual": ["counterfactual", "--model", "model.json", "--at", "B=2", "--at", "C=3", "--at", "D=5",
+                       "--set", "D=6"],
+}
+
+
+def run_argv(argv) -> tuple[int, str]:
+    """(exit code, stderr) of main(argv), run in a fresh directory that holds
+    data.csv and model.json; a call that exits 1 must add nothing to it."""
+    here, root = os.getcwd(), logging.getLogger()
+    handlers, root.handlers = root.handlers, []  # so main's log lines go to the stderr read here
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            model = {"variables": ["B", "C", "D"], "tree": TREE}
+            for name, text in {"data.csv": DATA, "model.json": json.dumps(model)}.items():
+                with open(name, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+            if code == 1:
+                assert sorted(os.listdir()) == ["data.csv", "model.json"], argv
+            return code, err.getvalue()
+        finally:
+            os.chdir(here)
+            root.handlers = handlers
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(BASE_ARGV)), st.lists(st.tuples(st.sampled_from(sorted(FLAGS)), FLAG_TEXT), max_size=3))
+def test_any_flags_exit_0_or_1_without_traceback(command, flags):
+    argv = list(BASE_ARGV[command])
+    for flag, text in flags:
+        argv += [flag] if FLAGS[flag].get("action") == "store_true" else [flag, text]
+    code, err = run_argv(argv)
+    assert code in (0, 1), argv
+    assert "Traceback" not in err, argv
