@@ -12,6 +12,7 @@ which main copies to stdout only under --stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -411,7 +412,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args leaves a parser as it was,
+    so each call can share it."""
     parser = _Parser(
         prog="ecd",
         description="Fit expression trees by evolutionary search and analyze them "

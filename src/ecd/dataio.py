@@ -7,6 +7,7 @@ Datasets are immutable after load and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    EcdError,
     EmptyAfterFiltering,
     EmptyDataset,
     InvalidConfig,
@@ -109,7 +111,10 @@ def load_csv(path, role_config: RoleConfig, missing_policy: str = "drop_row") ->
 
     Unparseable or non-finite cells count as missing. drop_row discards the
     affected rows (reported via logging); fail raises ParseError at the first
-    offender.
+    offender. A C pass (np.loadtxt) reads the body block by block; the first
+    block it refuses, or in which it finds a non-finite cell, goes with the
+    rest of the body to the row reader, and both parse a cell to the same
+    double that float() gives.
     """
     if missing_policy not in ("drop_row", "fail"):
         raise InvalidConfig(f"unknown missing_policy {missing_policy!r}")
@@ -117,21 +122,102 @@ def load_csv(path, role_config: RoleConfig, missing_policy: str = "drop_row") ->
     wanted = role_config.selected
     # utf-8-sig drops the byte order mark of Excel and many EHR exports.
     with open(path, "r", newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
         try:
-            header = next(reader)
+            header = next(csv.reader(handle))
         except StopIteration:
             raise EmptyDataset(f"{path}: no header row") from None
+        except csv.Error as exc:
+            raise EcdError(f"{path}: row 1: {exc}") from None
         header = [h.strip() for h in header]
         positions = []
         for name in wanted:
             if name not in header:
                 raise MissingColumn(name)
             positions.append(header.index(name))
+        matrix = _read_body(path, handle, wanted, positions, missing_policy)
 
-        kept: list[list[float]] = []
-        dropped = 0
-        for row_num, row in enumerate(reader, start=2):
+    if not len(matrix):
+        raise EmptyAfterFiltering(
+            f"{path}: no usable rows for columns {', '.join(wanted)}"
+        )
+    log.info("%s: loaded %d row(s), %d column(s)", path, len(matrix), len(wanted))
+    return Dataset({name: matrix[:, i] for i, name in enumerate(wanted)})
+
+
+# Lines per C-pass block: at most one block is parsed by both readers, and
+# one np.loadtxt call costs about as much as parsing 2 lines of 13 cells.
+_BLOCK_LINES = 64
+
+
+def _read_body(
+    path, handle, wanted: Sequence[str], positions: list[int], missing_policy: str
+) -> np.ndarray:
+    """The selected cells of the body's rows, read in one streaming pass
+    (the handle is never rewound, so a pipe works): the C pass takes blocks
+    of lines while it can, and the row reader takes the rest from the first
+    block the C pass cannot. A line the C pass takes is one record, as it
+    holds no quote."""
+    parts = []
+    row_num = 2
+    while True:
+        block: list[str] = []
+        rest = handle
+        try:
+            block.extend(itertools.islice(handle, _BLOCK_LINES))
+        except UnicodeDecodeError as exc:
+            # extend keeps the lines read before the error; the handle reads
+            # nothing after it, so the row reader meets it after them.
+            rest = _raising(exc)
+        matrix = _c_pass(block, positions) if rest is handle else None
+        if matrix is None:
+            lines = itertools.chain(block, rest)
+            parts.append(_read_rows(path, lines, row_num, wanted, positions, missing_policy))
+            return np.concatenate(parts)
+        parts.append(matrix)
+        if len(block) < _BLOCK_LINES:
+            return np.concatenate(parts)
+        row_num += len(block)
+
+
+def _raising(exc):
+    """An iterator whose first step raises exc."""
+    raise exc
+    yield
+
+
+def _c_pass(block: list[str], positions: list[int]) -> np.ndarray | None:
+    """The block's selected cells as one np.loadtxt pass reads them, or None
+    where the row reader might read the block otherwise: a line with a
+    quote, which csv reads as quoting, or with a NUL or over
+    csv.field_size_limit() characters, either of which csv may refuse; a
+    block the pass refuses; a non-finite cell. A block of blank lines, on
+    which loadtxt warns, holds no rows."""
+    text = "".join(block)
+    if '"' in text or "\0" in text or max(map(len, block), default=0) > csv.field_size_limit():
+        return None
+    if not text.strip():
+        return np.empty((0, len(positions)))
+    try:
+        matrix = np.loadtxt(
+            block, dtype=np.float64, delimiter=",", comments=None,
+            quotechar=None, usecols=positions, ndmin=2,
+        )
+    except ValueError:
+        return None
+    return matrix if np.isfinite(matrix).all() else None
+
+
+def _read_rows(
+    path, lines, first_row: int, wanted: Sequence[str], positions: list[int],
+    missing_policy: str,
+) -> np.ndarray:
+    """The row reader: the selected cells of each CSV record of lines (the
+    first numbered first_row) with every cell finite, as a matrix."""
+    kept: list[list[float]] = []
+    dropped = 0
+    row_num = first_row - 1
+    try:
+        for row_num, row in enumerate(csv.reader(lines), start=first_row):
             # float() skips the whitespace strip() would, so a row of finite
             # cells parses in one pass; any other row is blank or diagnosed.
             try:
@@ -154,17 +240,13 @@ def load_csv(path, role_config: RoleConfig, missing_policy: str = "drop_row") ->
             if missing_policy == "fail":
                 raise ParseError(row_num, name, text)
             dropped += 1
+    except csv.Error as exc:
+        # csv's own refusal of a record: a cell over csv.field_size_limit()
+        raise EcdError(f"{path}: row {row_num + 1}: {exc}") from None
 
     if dropped:
         log.warning("%s: dropped %d row(s) with missing or unparseable cells", path, dropped)
-    if not kept:
-        raise EmptyAfterFiltering(
-            f"{path}: no usable rows for columns {', '.join(wanted)}"
-        )
-    log.info("%s: loaded %d row(s), %d column(s)", path, len(kept), len(wanted))
-
-    matrix = np.asarray(kept, dtype=np.float64)
-    return Dataset({name: matrix[:, i] for i, name in enumerate(wanted)})
+    return np.asarray(kept, dtype=np.float64).reshape(-1, len(positions))
 
 
 _COMPARATORS = {

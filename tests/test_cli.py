@@ -6,7 +6,7 @@ import logging
 import numpy as np
 import pytest
 
-from ecd.cli import _write_json, main
+from ecd.cli import _write_json, build_parser, main
 from ecd.errors import MalformedTree
 from ecd.exprcore import ExpressionTree, Operator, const_node, op_node, var_node
 from ecd.gpsr import GpConfig, Individual, model_document, model_from_document
@@ -994,6 +994,60 @@ def test_deeply_nested_config(tmp_path, caplog):
     assert main(["fit", "--synth", "--config", str(cfg), "--out", str(out)]) == 1
     assert "nested too deeply to read" in caplog.text
     assert not out.exists()
+
+
+def test_cell_past_csv_field_limit_exits_1(tmp_path, capsys, caplog):
+    # 140,000 digits: over csv.field_size_limit() (131,072), which csv refuses
+    # with its own error, and a float the C pass reads as inf.
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("A,B,Z\n1,2,3\n" + "1" * 140_000 + ",2,3\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["fit", "--csv", str(data_path), "--response", "Z", "--predictors", "A,B", "--out", str(out)]
+    assert main(argv) == 1
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        f"{data_path}: row 3: field larger than field limit (131072)"
+    ]
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parser_carries_nothing_from_call_to_call(tmp_path, capsys, caplog):
+    # main parses every call with the one parser build_parser makes.
+    model_path, data_path = ris_fixture(tmp_path)
+    model = ["--model", str(model_path)]
+    data = ["--csv", str(data_path), "--response", "Z", "--predictors", "B,C,D"]
+    scenario = ["--at", "B=2", "--at", "C=3", "--at", "D=5", "--set", "D=6"]
+    assert build_parser() is build_parser()
+
+    # --at lists and --stdout: a call without them has no scenario and prints nothing
+    assert main(["counterfactual", *model, *scenario, "--stdout", "--out", str(tmp_path / "cf")]) == 0
+    assert capsys.readouterr().out.startswith("scenario: B=2, C=3, D=5")
+    assert main(["counterfactual", *model, "--set", "D=6", "--out", str(tmp_path / "cf2")]) == 1
+    assert "counterfactual needs a scenario" in caplog.text
+    assert main(["ris", *model, *data, "--out", str(tmp_path / "ris")]) == 0
+    assert capsys.readouterr().out == ""
+
+    # --synth: a --csv fit after a --synth fit fits the CSV's columns
+    write_config(tmp_path / "gp.json", {"gp": {"population_size": 8, "generations": 1}})
+    small = ["--config", str(tmp_path / "gp.json")]
+    assert main(["fit", "--synth", "--n", "20", *small, "--out", str(tmp_path / "fs")]) == 0
+    assert main(["fit", *data, *small, "--out", str(tmp_path / "fc")]) == 0
+    assert json.loads((tmp_path / "fc" / "model.json").read_text())["variables"] == ["B", "C", "D"]
+
+    # a missing --model after a call that gave one
+    caplog.clear()
+    assert main(["ris", *data, "--out", str(tmp_path / "nomodel")]) == 1
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        "the following arguments are required: --model"
+    ]
+
+    # --help after a refused call
+    assert main(["fit", "--bogus"]) == 1
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["ris", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ecd ris")
 
 
 @pytest.mark.parametrize("flag", ["--config", "--model", "--csv"])

@@ -1,8 +1,14 @@
+import os
+import re
+import threading
+
 import numpy as np
 import pytest
 
+from ecd import dataio
 from ecd.dataio import Dataset, RoleConfig, filter_rows, load_csv
 from ecd.errors import (
+    EcdError,
     EmptyAfterFiltering,
     EmptyDataset,
     InvalidConfig,
@@ -175,6 +181,69 @@ class TestLoadCsv:
         data = load_csv(path, ROLES)
         assert data.names == ("A", "B")
         assert np.array_equal(data.column("A"), [1.0, 3.0])
+
+    @pytest.mark.parametrize("text, row", [
+        ("A,B\n1,2\n" + "1" * 140_000 + ",2\n", 3),
+        ("A,B,C\n1,2,3\n4,5," + "x" * 140_000 + "\n", 3),  # in a column not selected
+        ("A,B," + "C" * 140_000 + "\n1,2,3\n", 1),
+    ], ids=["selected", "skipped", "header"])
+    @pytest.mark.parametrize("policy", ["drop_row", "fail"])
+    def test_cell_past_csv_field_limit_names_its_row(self, tmp_path, text, row, policy):
+        path = write(tmp_path, text)
+        with pytest.raises(EcdError, match=rf"^{re.escape(str(path))}: row {row}: field larger than field limit"):
+            load_csv(path, ROLES, policy)
+
+    def test_plain_body_takes_only_c_passes(self, tmp_path, monkeypatch):
+        def no_row_reader(*args):
+            raise AssertionError("row reader called")
+
+        monkeypatch.setattr(dataio, "_read_rows", no_row_reader)
+        path = tmp_path / "plain.csv"
+        path.write_bytes(b"\xef\xbb\xbfC,B,A\r\n9, 1.5 ,2\r\n8,\t-3e2,4,extra\r\n\r\n7,0,-0\r")
+        data = load_csv(path, ROLES, "fail")
+        assert np.array_equal(data.column("A"), [2.0, 4.0, -0.0])
+        assert np.array_equal(data.column("B"), [1.5, -300.0, 0.0])
+        blocks = "\n" + "1,2\n" * (3 * dataio._BLOCK_LINES) + "\n" * dataio._BLOCK_LINES
+        assert load_csv(write(tmp_path, "A,B\n" + blocks), ROLES).n_rows == 3 * dataio._BLOCK_LINES
+        for body in ('"1",2\n', "1,2\n3,nan\n", "1,2\n3\n"):
+            with pytest.raises(AssertionError, match="row reader called"):
+                load_csv(write(tmp_path, "A,B\n" + body), ROLES)
+
+    @pytest.mark.parametrize("last", ["3,\n", '"3",4\n', "3,inf\n"])
+    def test_row_reader_starts_at_the_first_block_the_c_pass_refuses(self, tmp_path, monkeypatch, last):
+        read_rows = dataio._read_rows
+        first_rows = []
+
+        def first_row_seen(path, lines, first_row, *args):
+            first_rows.append(first_row)
+            return read_rows(path, lines, first_row, *args)
+
+        monkeypatch.setattr(dataio, "_read_rows", first_row_seen)
+        plain = 2 * dataio._BLOCK_LINES + 5
+        path = write(tmp_path, "A,B\n" + "1,2\n" * plain + last)
+        data = load_csv(path, ROLES)
+        assert first_rows == [2 + 2 * dataio._BLOCK_LINES]
+        assert data.n_rows == plain + (last == '"3",4\n')
+        if last != '"3",4\n':
+            with pytest.raises(ParseError) as err:
+                load_csv(path, ROLES, "fail")
+            assert (err.value.row, err.value.column) == (plain + 2, "B")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_pipe_is_read_in_one_pass(self, tmp_path):
+        # A body the C pass refuses in its last block: the pipe cannot be
+        # rewound, so the row reader must go on from where the pass stopped.
+        fifo = tmp_path / "data.fifo"
+        os.mkfifo(fifo)
+        text = "A,B\n" + "1,2\n" * 200 + "3,\n" + '"4",5\n'
+        writer = threading.Thread(target=fifo.write_text, args=(text,))
+        writer.start()
+        try:
+            data = load_csv(fifo, ROLES)
+        finally:
+            writer.join()
+        assert np.array_equal(data.column("A"), [1.0] * 200 + [4.0])
+        assert np.array_equal(data.column("B"), [2.0] * 200 + [5.0])
 
 
 class TestFilterRows:

@@ -5,7 +5,9 @@ the suite's time barely moves.
 """
 
 import contextlib
+import csv
 import io
+import itertools
 import json
 import logging
 import math
@@ -20,7 +22,8 @@ from hypothesis import strategies as st
 
 from conftest import VARS, naive_eval
 from ecd.cli import FIELDS, FLAGS, _impact_dots, main
-from ecd.dataio import Dataset
+from ecd.dataio import Dataset, RoleConfig, load_csv
+from ecd.errors import EcdError, EmptyAfterFiltering, EmptyDataset, MissingColumn, ParseError
 from ecd.exprcore import (
     DIV_EPSILON,
     ExpressionTree,
@@ -301,6 +304,146 @@ def test_quartiles_of_a_finite_column_lie_within_it(column):
         quartiles = [spec.values["A"] for spec in quartile_baselines(Dataset({"A": column}), ["A"])]
     assert all(min(column) <= q <= max(column) for q in quartiles)
     assert quartiles == sorted(quartiles)
+
+
+# load_csv reads a body with C passes over blocks of lines, and, from the
+# first block such a pass refuses or in which it reads a non-finite cell,
+# with its row reader. Whichever takes a file, the outcome is the one this
+# plain row reader gives: the same doubles, or the same error, and the same
+# log lines.
+def reference_load_csv(path, missing_policy: str, notes: list) -> dict:
+    wanted = ("B", "A")  # RoleConfig(response="A", predictors=("B",)).selected
+    header, kept, dropped = None, [], 0
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        for row_num in itertools.count(1):
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                raise EcdError(f"{path}: row {row_num}: {exc}") from None
+            if header is None:
+                header = [cell.strip() for cell in row]
+                for name in wanted:
+                    if name not in header:
+                        raise MissingColumn(name)
+                continue
+            if all(not cell.strip() for cell in row):
+                continue
+            values = []
+            for name in wanted:
+                pos = header.index(name)
+                text = row[pos].strip() if pos < len(row) else ""
+                try:
+                    value = float(text)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    break
+                values.append(value)
+            else:
+                kept.append(values)
+                continue
+            if missing_policy == "fail":
+                raise ParseError(row_num, name, text)
+            dropped += 1
+    if header is None:
+        raise EmptyDataset(f"{path}: no header row")
+    if dropped:
+        notes.append(f"{path}: dropped {dropped} row(s) with missing or unparseable cells")
+    if not kept:
+        raise EmptyAfterFiltering(f"{path}: no usable rows for columns B, A")
+    notes.append(f"{path}: loaded {len(kept)} row(s), 2 column(s)")
+    return {name: np.array([row[i] for row in kept]).tobytes() for i, name in enumerate(wanted)}
+
+
+def load_outcome(load, path, missing_policy: str):
+    """(columns as bytes, or the error's type and text; log lines) of one load,
+    with warnings raised as errors."""
+    notes: list = []
+    logger = logging.getLogger("ecd.dataio")
+    handler = logging.Handler()
+    handler.emit = lambda record: notes.append(record.getMessage())
+    level = logger.level
+    logger.setLevel(logging.INFO)  # not .level =, which would keep isEnabledFor's cache
+    logger.addHandler(handler)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return load(path, missing_policy, notes), notes
+    except (EcdError, UnicodeDecodeError) as exc:
+        return (type(exc).__name__, str(exc)), notes
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def ecd_load_csv(path, missing_policy: str, notes: list) -> dict:
+    data = load_csv(path, RoleConfig(response="A", predictors=("B",)), missing_policy)
+    return {name: column.tobytes() for name, column in data.columns.items()}
+
+
+CSV_NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(-10**6, 10**6).map(str)
+CSV_ODD_CELLS = st.sampled_from([
+    "", "  ", " 1.5 ", "\t2", "\xa09", "nan", " inf", "-inf", "1e999", "-1e999", "1_0", "x", "NA", "-0",
+    '"3"', '" 4 "', '"5,6"', '"7\n8"', '""', '"x""y"', "1\x00",
+])
+# A file: an optional byte order mark, a header of A, B and C in any order
+# (with, at times, a quoted two-line name), then rows, each ending in LF,
+# CRLF or CR, the last at times in nothing. Half the files hold rows of
+# numbers, as many as the header has names or one more, with at times one
+# cell of the file swapped for an odd one; the other half rows of 0 to 5
+# cells of any kind. At times 1,500 plain rows lead the body, so that the
+# rows after them fall in a later C-pass block, and a non-UTF-8 byte after
+# them past the first 8 KB the file reader decodes.
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_bytes(draw) -> bytes:
+    header = list(draw(st.permutations(["A", "B", "C"])))
+    if draw(st.booleans()):
+        header.insert(draw(st.integers(0, 3)), '"X\nY"')
+    width = len(header)
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.lists(CSV_NUMBERS, min_size=width, max_size=width + 1), max_size=6))
+        if rows and draw(st.booleans()):
+            cells = rows[draw(st.integers(0, len(rows) - 1))]
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(CSV_ODD_CELLS)
+    else:
+        rows = draw(st.lists(st.lists(CSV_NUMBERS | CSV_ODD_CELLS, max_size=5), max_size=6))
+    lines = [",".join(header) + draw(LINE_ENDS)]
+    lines += [",".join(["1"] * width) + draw(LINE_ENDS)] * draw(st.sampled_from([0, 0, 0, 1500]))
+    lines += [",".join(cells) + draw(LINE_ENDS) for cells in rows]
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    head, body = lines[0].encode("utf-8"), "".join(lines[1:]).encode("utf-8")
+    if body and draw(st.integers(1, 8)) == 8:
+        at = draw(st.integers(0, len(body)))
+        body = body[:at] + b"\xff" + body[at:]
+    return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + head + body
+
+
+@PROPERTY
+@given(csv_bytes(), st.sampled_from(["drop_row", "fail"]))
+@example(b"A,B,C\n1,2,3\n4,5,6\n", "fail")
+@example(b"B,A\r\n", "drop_row")
+@example(b"A,B\n\n\n1,2\n", "fail")
+@example(b"C,X,A,B\n\"5,6\",9,1,2\n", "fail")  # a quoted comma before the selected cells
+@example(b"A,B,C\n1,2," + b"3" * 140_000 + b"\n", "drop_row")  # an unselected cell csv refuses
+@example(b"A,B\n" + b" " * 140_000 + b"\n", "drop_row")  # a blank line csv refuses
+@example(b"A,B,C\n1,2,x\x00\n", "drop_row")  # csv refuses a NUL before Python 3.11
+@example(b"A,B\n1,x\n" + b"1,2\n" * 3000 + b"\xff\n", "fail")  # a bad row before an undecodable one
+@example(b"A,B\n" + b"1,2\n" * 3000 + b"\xff\n", "drop_row")  # an undecodable byte past the first block
+def test_load_csv_matches_a_plain_row_reader(data, missing_policy):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "data.csv")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        assert load_outcome(ecd_load_csv, path, missing_policy) == load_outcome(
+            reference_load_csv, path, missing_policy
+        )
 
 
 # Never a traceback: every config field, filter clause slot, scenario value
