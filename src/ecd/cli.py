@@ -296,14 +296,16 @@ def cmd_fit(args, cfg: dict) -> Path:
 
 def _impact_dots(tree: ExpressionTree, table: ris.QuartileImpactTable):
     """(file name, to_dot(tree, report.annotations())) of each cell, one at a time. A
-    quartile's cells copy its quiet lines, annotation(b, b), and rewrite the moved nodes."""
+    quartile's cells copy its quiet lines, annotation(b, b), and rewrite the moved nodes.
+    A name's % and / are written %25 and %2F, so each name has a file name of its own."""
     layout = DotLayout(tree)
     for q, label in enumerate(ris.QUARTILE_LABELS):
         baseline = next(iter(table.reports.values()))[q].baseline_values
         quiet = layout.lines({i: ris.annotation(b, b) for i, b in enumerate(baseline)})
         for name, cells in table.reports.items():
             moved = cells[q].annotations(moved_only=True)
-            yield f"impact_{name}_{label}.dot", layout.render(layout.lines(moved, quiet))
+            stem = name.replace("%", "%25").replace("/", "%2F")
+            yield f"impact_{stem}_{label}.dot", layout.render(layout.lines(moved, quiet))
 
 
 def cmd_ris(args, cfg: dict) -> Path:

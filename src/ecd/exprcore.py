@@ -287,22 +287,16 @@ def evaluate(tree: ExpressionTree, bindings: Bindings) -> float:
     return float(evaluate_nodes(tree, scenario)[0, 0])
 
 
-def predict(tree: ExpressionTree, data) -> Union[float, np.ndarray]:
-    """The tree's output over a dataset: a float when the tree reads no
-    variable, else one value per row. It enters no np.errstate scope, so a
-    caller that goes on computing with the output, as gpsr.fitness does,
-    holds one scope around both; evaluate_batch holds its own."""
-    return _run(tree, data.columns, data.divisor_masks)
-
-
 def evaluate_batch(tree: ExpressionTree, data) -> np.ndarray:
     """Row-wise output over a dataset; element i equals evaluate on row i.
 
-    One vector operation per operator that reads a variable. It keeps at
-    most depth + 1 columns alive, where evaluate_nodes holds one per node.
+    The one dataset evaluator, gpsr.fitness's and synthbench's: one vector
+    operation per operator that reads a variable, keeping at most depth + 1
+    columns alive where evaluate_nodes holds one per node. It enters no
+    np.errstate scope, as each caller goes on computing with the output and
+    holds one scope around both.
     """
-    with np.errstate(all="ignore"):
-        out = predict(tree, data)
+    out = _run(tree, data.columns, data.divisor_masks)
     return np.full(data.n_rows, out) if out.__class__ is float else out
 
 

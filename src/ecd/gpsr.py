@@ -1,13 +1,14 @@
 """Genetic-programming symbolic regression over expression trees.
 
 The generational loop is select -> crossover -> mutate with elitism, tournament
-selection, and an MSE-plus-parsimony fitness. All randomness flows from one
-seed: numpy's SeedSequence spawns one substream for initialization and one
-per breeding generation, each a PCG64 bit generator whose raw 64-bit words
-_Pcg64Stream turns into exactly the draws numpy's Generator would make. Runs
-are reproducible across platforms and restarts, and depend on numpy only
-through SeedSequence and the PCG64 bit stream, which NumPy keeps stable
-across versions (NEP 19), not through Generator's sampling methods.
+selection, and an MSE-plus-parsimony fitness over exprcore.evaluate_batch's
+output. All randomness flows from one seed: numpy's SeedSequence spawns one
+substream for initialization and one per breeding generation, each a PCG64 bit
+generator whose raw 64-bit words _Pcg64Stream turns into exactly the draws
+numpy's Generator would make. Runs are reproducible across platforms and
+restarts, and depend on numpy only through SeedSequence and the PCG64 bit
+stream, which NumPy keeps stable across versions (NEP 19), not through
+Generator's sampling methods.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from .exprcore import (
     Operator,
     Tokens,
     dependency_set,
-    evaluate_batch,  # not called here: perfbench's tracer rebinds gpsr.evaluate_batch
+    evaluate_batch,
     node_depth,
-    predict,
     replace_at,
     subtree_at,
     tree_from_json,
@@ -321,7 +321,7 @@ def fitness(
         raise EmptyDataset("cannot score against an empty dataset")
     # An overflow (inf) or inf - inf (nan) here meets the clamp below.
     with np.errstate(all="ignore"):
-        residuals = predict(tree, data) - data.column(response)
+        residuals = evaluate_batch(tree, data) - data.column(response)
         # np.mean's own sum and division, without its Python-level wrapper.
         raw_mse = float(np.add.reduce(residuals * residuals)) / len(residuals)
     if not math.isfinite(raw_mse):

@@ -136,8 +136,8 @@ def structure_score(
     support = frozenset(dependency_set(fitted))
     jaccard = max(_jaccard(support, ref) for ref in truth.equivalent_supports)
     data = holdout if holdout is not None else holdout_data()
-    predictions = evaluate_batch(fitted, data)
-    mse = float(np.mean((predictions - data.column(truth.response)) ** 2))
+    with np.errstate(all="ignore"):  # an overflow is an ordinary, if poor, score
+        mse = float(np.mean((evaluate_batch(fitted, data) - data.column(truth.response)) ** 2))
     return StructureScore(support_jaccard=jaccard, mse_on_clean=mse)
 
 

@@ -387,6 +387,31 @@ class TestRis:
         assert "A\rB" in text
         assert capsys.readouterr().out == text
 
+    def test_slash_in_predictor_name(self, tmp_path):
+        # A name's "/" would name a file in a directory that does not exist;
+        # it is written %2F, and "%" %25, so "a/b" and "a%2Fb" stay apart.
+        data_path = tmp_path / "data.csv"
+        rng = np.random.default_rng(5)
+        columns = {name: rng.uniform(1.0, 4.0, 50) for name in ("BP sys/dia", "B", "a/b", "a%2Fb")}
+        write_csv(data_path, {**columns, "Z": columns["BP sys/dia"] + columns["B"]})
+        write_config(tmp_path / "small.json", {"gp": {"population_size": 20, "generations": 2}})
+        fit = tmp_path / "fit"
+        data = ["--csv", str(data_path), "--response", "Z", "--config", str(tmp_path / "small.json")]
+        assert main(["fit", *data, "--predictors", "BP sys/dia,B", "--out", str(fit)]) == 0
+        out = tmp_path / "ris"
+        argv = ["ris", "--model", str(fit / "model.json"), *data, "--predictors", "BP sys/dia,B", "--out", str(out)]
+        assert main(argv) == 0
+        dots = sorted(path.name for path in out.glob("*.dot"))
+        stems = ("B", "BP sys%2Fdia")
+        assert dots == sorted(f"impact_{stem}_{q}.dot" for stem in stems for q in ("Q1", "Q2", "Q3"))
+        write_model(tmp_path / "model.json", ExpressionTree(var_node("a/b")), ["a/b", "a%2Fb"])
+        out = tmp_path / "ris2"
+        argv = ["ris", "--model", str(tmp_path / "model.json"), *data, "--predictors", "a/b,a%2Fb", "--out", str(out)]
+        assert main(argv) == 0
+        dots = sorted(path.name for path in out.glob("*.dot"))
+        stems = ("a%252Fb", "a%2Fb")
+        assert dots == sorted(f"impact_{stem}_{q}.dot" for stem in stems for q in ("Q1", "Q2", "Q3"))
+
     def test_huge_baseline_row_stays_short(self, tmp_path):
         # Baselines outside (-1e16, 1e16) print in exponent form, as impacts do,
         # not as a 300-digit number per cell.

@@ -237,6 +237,7 @@ class TestEvaluateBatch:
         with pytest.raises(MissingVariable):
             evaluate_batch(bcd_tree(), data)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_bitwise_equal_to_scalar_path(self, rng):
         names = ("u", "v", "w", "x")
         cols = {n: rng.uniform(-10, 10, 40) for n in names}

@@ -51,6 +51,7 @@ from ecd.gpsr import (
     ranking,
     select,
 )
+from ecd.synthbench import holdout_data
 
 
 class StubRng:
@@ -267,6 +268,20 @@ class TestFitness:
                 assert (fit, raw) == (PENALTY_MSE, PENALTY_MSE)
             inf = Dataset({"A": [math.inf, 1.0], "Z": [math.inf, 1.0]})
             assert fitness(ExpressionTree(var_node("A")), inf, "Z", 0.0)[1] == PENALTY_MSE
+
+    @pytest.mark.parametrize(
+        "value, bits",
+        [
+            (2.5, ("0x1.e9c79dc519e44p+15", "0x1.e9c79d420775bp+15")),
+            (-0.0, ("0x1.ea437c7805b47p+15", "0x1.ea437bf4f345ep+15")),
+            (0.1, ("0x1.ea3e0d292f78dp+15", "0x1.ea3e0ca61d0a4p+15")),
+        ],
+    )
+    def test_constant_tree_recorded_bits(self, value, bits):
+        # A constant tree is scored as one value per row; recorded when its
+        # float was subtracted from the response column directly.
+        fit, raw = fitness(ExpressionTree(const_node(value)), holdout_data(), "Z", 0.001)
+        assert (fit.hex(), raw.hex()) == bits
 
     def test_errors(self):
         empty = Dataset({"A": np.array([]), "Z": np.array([])})

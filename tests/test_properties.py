@@ -12,16 +12,19 @@ import json
 import logging
 import math
 import os
+import shutil
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, rule, run_state_machine_as_test
 
 from conftest import VARS, naive_eval
-from ecd.cli import FIELDS, FLAGS, _impact_dots, main
+from ecd.cli import COMMANDS, FIELDS, FLAGS, _impact_dots, main
 from ecd.dataio import Dataset, RoleConfig, load_csv
 from ecd.errors import EcdError, EmptyAfterFiltering, EmptyDataset, MissingColumn, ParseError
 from ecd.exprcore import (
@@ -240,6 +243,7 @@ kernel_data = st.integers(1, 6).flatmap(
 )
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @PROPERTY
 @given(kernel_tokens | grown_tokens | constant_tokens, kernel_data)
 @example(  # a data column divides: its kept mask must cover NaN as well as near-zero
@@ -610,3 +614,129 @@ def test_any_flags_exit_0_or_1_without_traceback(command, flags):
     code, err = run_argv(argv)
     assert code in (0, 1), argv
     assert "Traceback" not in err, argv
+
+
+# One user's session: a shared config file, edited one field at a time, that
+# the five commands read as they run with random flags of their own from
+# FLAGS. The machine picks each call's --out, a fresh directory, and the
+# session's directory holds data.csv, model.json and config.json. Invariants:
+# every call exits 0 or 1 with no traceback; a call that exits 1 makes no
+# directory; --stdout prints the primary artifact's exact text; a rerun
+# writes the same bytes; and fit, ris and simplify, which all read the data
+# section, agree on whether the config is accepted.
+SESSION_CONFIG = {
+    "seed": 1,
+    "gp": {"population_size": 8, "generations": 2},
+    "data": {"csv": "data.csv", "response": "Z", "predictors": ["B", "C", "D"]},
+    "ris": {"magnitude": 0.05, "threshold": 0.0},
+    "scenario": {"B": 2, "C": 3, "D": 5},
+    "intervention": {"variable": "D", "value": 6},
+}
+SESSION_ARGV = {
+    name: [name, "--config", "config.json", *(["--model", "model.json"] if "--model" in flags else [])]
+    for name, (_, _, flags) in COMMANDS.items()
+}
+PRIMARY = {"gen": "synthetic.csv", "fit": "model.json", "ris": "impact_table.txt",
+           "counterfactual": "counterfactual.txt", "simplify": "simplified_model.json"}
+# An edit puts a value of the field's own kind half the time, else any of
+# EDIT_VALUES. A count is at most 2 or above its cap, so a fit stays within
+# population 8 and 2 generations.
+EDIT_VALUES = st.sampled_from(
+    [None, True, -1, 0, 1, 2, 1.5, 10**400, "", "x", "absolute", "set_to", "fail", [], [1], [1, 2], {}]
+)
+KIND_VALUES = {
+    int: st.integers(-1, 2),
+    float: st.sampled_from([0.0, 0.01, 0.5, 1.0, -2.0]),
+    str: st.sampled_from(["", "x", "B", "absolute", "set_to", "fail"]),
+    list: st.sampled_from([[], [1]]),
+    tuple: st.sampled_from([[1, 2], [2, 1]]),
+}
+EDIT_SLOTS = [(section, key) for section, fields in FIELDS.items() for key in fields]
+
+
+def files_under(directory) -> dict:
+    """{relative path: bytes} of every file under directory."""
+    paths = (path for path in Path(directory).rglob("*") if path.is_file())
+    return {str(path.relative_to(directory)): path.read_bytes() for path in paths}
+
+
+class CliSession(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.workdir = tempfile.mkdtemp()
+        self.config = json.loads(json.dumps(SESSION_CONFIG))
+        self.runs = 0
+        model = {"variables": ["B", "C", "D"], "tree": TREE}
+        for name, text in {"data.csv": DATA, "model.json": json.dumps(model)}.items():
+            with open(os.path.join(self.workdir, name), "w", encoding="utf-8") as handle:
+                handle.write(text)
+        self.write_config()
+
+    def teardown(self):
+        shutil.rmtree(self.workdir)
+
+    def write_config(self):
+        with open(os.path.join(self.workdir, "config.json"), "w", encoding="utf-8") as handle:
+            json.dump(self.config, handle)
+
+    def call(self, argv) -> tuple[int, str]:
+        """(exit code, --out directory) of main(argv) with a fresh --out last."""
+        self.runs += 1
+        out = f"run{self.runs}"
+        argv = [*argv, "--out", out]
+        here, root = os.getcwd(), logging.getLogger()
+        handlers, root.handlers = root.handlers, []  # so main's log lines go to the stderr read here
+        os.chdir(self.workdir)
+        try:
+            before = sorted(os.listdir())
+            with contextlib.redirect_stderr(io.StringIO()) as err, contextlib.redirect_stdout(io.StringIO()) as std:
+                code = main(argv)
+            assert code in (0, 1), argv
+            assert "Traceback" not in err.getvalue(), argv
+            if code == 1:
+                assert sorted(os.listdir()) == before, argv
+            elif "--stdout" in argv:
+                artifact = os.path.join(out, PRIMARY[argv[0]])
+                with open(artifact, "rb") as handle:
+                    assert std.getvalue() == handle.read().decode("utf-8"), argv
+            return code, os.path.join(self.workdir, out)
+        finally:
+            os.chdir(here)
+            root.handlers = handlers
+
+    @rule(
+        command=st.sampled_from(sorted(COMMANDS)),
+        flags=st.lists(st.tuples(st.sampled_from(sorted(set(FLAGS) - {"--out"})), FLAG_TEXT), max_size=2),
+        stdout=st.booleans(),
+    )
+    def run(self, command, flags, stdout):
+        argv = SESSION_ARGV[command] + ["--stdout"] * stdout
+        for flag, text in flags:
+            argv += [flag] if FLAGS[flag].get("action") == "store_true" else [flag, text]
+        code, out = self.call(argv)
+        if code == 0:
+            again = self.call(argv)
+            assert again[0] == 0 and files_under(again[1]) == files_under(out), argv
+
+    @rule(slot=st.sampled_from(EDIT_SLOTS), own_kind=st.booleans(), data=st.data())
+    def edit(self, slot, own_kind, data):
+        section, key = slot
+        value = data.draw(KIND_VALUES[type(FIELDS[section][key])] if own_kind else EDIT_VALUES)
+        self.restore()
+        (self.config.setdefault(section, {}) if section else self.config)[key] = value
+        self.write_config()
+        codes = {name: self.call(SESSION_ARGV[name])[0] for name in ("fit", "ris", "simplify")}
+        assert len(set(codes.values())) == 1, (codes, self.config)
+
+    @rule()
+    def restore(self):
+        self.config = json.loads(json.dumps(SESSION_CONFIG))
+        self.write_config()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_session():
+    run_state_machine_as_test(
+        CliSession, settings=settings(derandomize=True, database=None, max_examples=60, stateful_step_count=10,
+                                      deadline=None)
+    )

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from ecd.exprcore import (
     op_node,
     var_node,
 )
-from ecd.gpsr import GpConfig
+from ecd.gpsr import PENALTY_MSE, GpConfig, fitness
 from ecd.synthbench import (
     GROUND_TRUTH,
     HOLDOUT_SEED,
@@ -169,6 +170,16 @@ class TestStructureScore:
     def test_partial_support(self):
         score = structure_score(ExpressionTree(var_node("B")), GROUND_TRUTH)
         assert score.support_jaccard == 0.5
+
+    def test_overflowing_model_scores_without_warning(self):
+        # A * 1e200 overflows in the squared error: an ordinary poor score,
+        # not a numpy warning, both here and in the fit's fitness.
+        tree = ExpressionTree(op_node(Operator.MUL, var_node("A"), const_node(1e200)))
+        holdout = holdout_data()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert structure_score(tree, GROUND_TRUTH, holdout).mse_on_clean == math.inf
+            assert fitness(tree, holdout, "Z", 0.001) == (PENALTY_MSE, PENALTY_MSE)
 
     def test_explicit_holdout_used(self):
         holdout = Dataset({"B": [1.0, 2.0], "Z": [1.0, 2.0]})
