@@ -4,9 +4,10 @@ Subcommands: gen | fit | ris | counterfactual | simplify. A run is configured
 by an optional JSON file (--config) plus flags; each flag overwrites the one
 field it names, and main checks it all before any command runs. A flag's
 text is checked as that field's value in the file is, and every refusal, of
-a flag or of the file, exits 1 with one ERROR line. Logs go to stderr,
-artifacts to files under --out; each command returns its primary artifact,
-which main copies to stdout only under --stdout.
+a flag or of the file, exits 1 with one ERROR line. Logs go to stderr.
+Each command returns its artifacts as {file name: text}, primary first, and
+writes nothing; main alone makes --out, writes every text there, and copies
+the primary one to stdout under --stdout.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from .exprcore import DotLayout, ExpressionTree, Operator, subtree_at, to_dot
 from .exprcore import tree_to_json  # not called here: perfbench's tracer rebinds cli.tree_to_json
 
 log = logging.getLogger("ecd")
+
+# The longest file name, in UTF-8 bytes, that common file systems take.
+NAME_MAX = 255
 
 
 # Every field a config file may set, as {section: {key: default}} with "" for
@@ -146,8 +150,9 @@ def _run_config(args) -> dict:
     given flag written over the field its dest names and every given section
     built into the object its reader uses, whichever command runs. --csv
     picks the CSV source and --synth, as gen does, the synthetic one; "data"
-    and "synth" are None unless they are a source. A top-level seed is every
-    seed."""
+    and "synth" are None unless they are a source. The data section's
+    "roles" is its RoleConfig, or None unless both roles are given. A
+    top-level seed is every seed."""
     doc = _read_json(args.config) if args.config else {}
     if not isinstance(doc, dict):
         raise InvalidConfig("config file must contain a JSON object")
@@ -180,7 +185,14 @@ def _run_config(args) -> dict:
     cfg["gp"] = gpsr.preset(preset, **cfg["gp"]) if preset else gpsr.GpConfig(**cfg["gp"])
     synth = synthbench.SynthConfig(**cfg["synth"]) if "synth" in cfg else None
     cfg["synth"] = synth if "synth" in sources else None
-    cfg["data"] = cfg.get("data", {}) if "data" in sources else None
+    data = cfg.get("data", {})
+    policy = data.setdefault("missing_policy", "drop_row")
+    if policy not in dataio.MISSING_POLICIES:
+        raise InvalidConfig(f"unknown missing_policy {policy!r}")
+    roles = data.get("response"), data.get("predictors")
+    data["roles"] = dataio.RoleConfig(*roles) if None not in roles else None
+    dataio.filter_clauses(data.get("filter", []), data["roles"])
+    cfg["data"] = data if "data" in sources else None
     cfg["ris"] = {**FIELDS["ris"], **cfg["ris"]}
     cfg["ris"]["mode"] = _mode(cfg["ris"]["mode"])
     magnitude, threshold = cfg["ris"]["magnitude"], cfg["ris"]["threshold"]
@@ -197,12 +209,6 @@ def _run_config(args) -> dict:
     return cfg
 
 
-def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg[""].get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _resolve_dataset(cfg: dict) -> tuple[dataio.Dataset, str, list[str]]:
     """(dataset, response, predictors) from the one configured source."""
     if cfg["synth"] is not None and cfg["data"] is not None:
@@ -214,10 +220,10 @@ def _resolve_dataset(cfg: dict) -> tuple[dataio.Dataset, str, list[str]]:
     source = cfg["data"]
     if source is None:
         raise InvalidConfig("no data source configured (need data.csv or synth)")
-    if not {"csv", "response", "predictors"} <= source.keys():
+    roles = source["roles"]
+    if "csv" not in source or roles is None:
         raise InvalidConfig("csv data source needs csv, response and predictors")
-    roles = dataio.RoleConfig(response=source["response"], predictors=source["predictors"])
-    data = dataio.load_csv(source["csv"], roles, source.get("missing_policy", "drop_row"))
+    data = dataio.load_csv(source["csv"], roles, source["missing_policy"])
     filter_spec = source.get("filter", [])
     if filter_spec:
         before = data.n_rows
@@ -226,13 +232,12 @@ def _resolve_dataset(cfg: dict) -> tuple[dataio.Dataset, str, list[str]]:
     return data, roles.response, list(roles.predictors)
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    """Write doc as sorted, indented JSON."""
+def _json_text(name: str, doc: dict) -> str:
+    """doc as sorted, indented JSON text for the file name, which a refusal names."""
     try:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     except RecursionError:
-        raise MalformedTree(f"{path.name}: the tree is nested too deeply to write") from None
-    path.write_text(text, encoding="utf-8")
+        raise MalformedTree(f"{name}: the tree is nested too deeply to write") from None
 
 
 def _parse_assignments(pairs: Sequence[str], what: str) -> dict:
@@ -246,31 +251,22 @@ def _parse_assignments(pairs: Sequence[str], what: str) -> dict:
     return out
 
 
-def cmd_gen(args, cfg: dict) -> Path:
+def cmd_gen(args, cfg: dict) -> dict[str, str]:
     config = cfg["synth"]
     data, truth = synthbench.generate(config)
-
-    out = _out_dir(cfg)
-    csv_path = out / "synthetic.csv"
-    truth_path = out / "synthetic_truth.json"
-    data.to_csv(csv_path)
-    _write_json(
-        truth_path,
-        {
-            "response": truth.response,
-            "equations": dict(truth.equations),
-            "direct_parents": {k: sorted(v) for k, v in truth.direct_parents.items()},
-            "equivalent_supports": [sorted(s) for s in truth.equivalent_supports],
-            "n": config.n,
-            "seed": config.seed,
-            "noise_percent": config.noise_percent,
-        },
-    )
-    log.info("wrote %s (%d rows) and %s", csv_path, data.n_rows, truth_path)
-    return csv_path
+    doc = {
+        "response": truth.response,
+        "equations": dict(truth.equations),
+        "direct_parents": {k: sorted(v) for k, v in truth.direct_parents.items()},
+        "equivalent_supports": [sorted(s) for s in truth.equivalent_supports],
+        "n": config.n,
+        "seed": config.seed,
+        "noise_percent": config.noise_percent,
+    }
+    return {"synthetic.csv": data.to_csv(), "synthetic_truth.json": _json_text("synthetic_truth.json", doc)}
 
 
-def cmd_fit(args, cfg: dict) -> Path:
+def cmd_fit(args, cfg: dict) -> dict[str, str]:
     data, response, predictors = _resolve_dataset(cfg)
     gp = cfg["gp"]
     log.info(
@@ -284,18 +280,16 @@ def cmd_fit(args, cfg: dict) -> Path:
         best.fitness, best.raw_mse, result.terminated_by.value, len(result.history),
     )
     log.info("best expression: %s", best.tree.infix)
-
-    out = _out_dir(cfg)
-    _write_json(out / "model.json", gpsr.model_document(best, predictors, gp))
-    gpsr.history_to_csv(result.history, out / "history.csv")
-    (out / "expression.txt").write_text(best.tree.infix + "\n", encoding="utf-8")
-    (out / "best_tree.dot").write_text(to_dot(best.tree), encoding="utf-8")
-    log.info("artifacts in %s: model.json history.csv expression.txt best_tree.dot", out)
-    return out / "model.json"
+    return {
+        "model.json": _json_text("model.json", gpsr.model_document(best, predictors, gp)),
+        "history.csv": gpsr.history_to_csv(result.history),
+        "expression.txt": best.tree.infix + "\n",
+        "best_tree.dot": to_dot(best.tree),
+    }
 
 
 def _impact_dots(tree: ExpressionTree, table: ris.QuartileImpactTable):
-    """(file name, to_dot(tree, report.annotations())) of each cell, one at a time. A
+    """(file name, to_dot(tree, report.annotations())) of each cell. A
     quartile's cells copy its quiet lines, annotation(b, b), and rewrite the moved nodes.
     A name's % and / are written %25 and %2F, so each name has a file name of its own."""
     layout = DotLayout(tree)
@@ -308,7 +302,7 @@ def _impact_dots(tree: ExpressionTree, table: ris.QuartileImpactTable):
             yield f"impact_{stem}_{label}.dot", layout.render(layout.lines(moved, quiet))
 
 
-def cmd_ris(args, cfg: dict) -> Path:
+def cmd_ris(args, cfg: dict) -> dict[str, str]:
     tree, variables = gpsr.model_from_document(_read_json(args.model))
     data, _, _ = _resolve_dataset(cfg)
     table = ris.quartile_impact_table(
@@ -318,14 +312,11 @@ def cmd_ris(args, cfg: dict) -> Path:
         perturbation_mode=cfg["ris"]["mode"],
         magnitude=cfg["ris"]["magnitude"],
     )
-
-    out = _out_dir(cfg)
-    (out / "impact_table.txt").write_text(table.to_text(), encoding="utf-8")
-    _write_json(out / "impact_table.json", table.to_json())
-    for filename, dot in _impact_dots(tree, table):
-        (out / filename).write_text(dot, encoding="utf-8")
-    log.info("impact table and per-cell DOT files written to %s", out)
-    return out / "impact_table.txt"
+    return {
+        "impact_table.txt": table.to_text(),
+        "impact_table.json": _json_text("impact_table.json", table.to_json()),
+        **dict(_impact_dots(tree, table)),
+    }
 
 
 def _describe_node(tree: ExpressionTree, node_id: int) -> str:
@@ -335,7 +326,7 @@ def _describe_node(tree: ExpressionTree, node_id: int) -> str:
     return text
 
 
-def cmd_counterfactual(args, cfg: dict) -> Path:
+def cmd_counterfactual(args, cfg: dict) -> dict[str, str]:
     tree, variables = gpsr.model_from_document(_read_json(args.model))
     scenario, intervention = cfg["scenario"], cfg["intervention"]
     if scenario is None:
@@ -362,17 +353,15 @@ def cmd_counterfactual(args, cfg: dict) -> Path:
         lines.append("most changed internal nodes:")
         lines.extend(f"  node {i} {_describe_node(tree, i)}: {annotations[i]}" for i in top)
     text = "\n".join(lines) + "\n"
-
-    out = _out_dir(cfg)
-    (out / "counterfactual.txt").write_text(text, encoding="utf-8")
-    _write_json(out / "counterfactual.json", report.to_json())
-    (out / "counterfactual.dot").write_text(to_dot(tree, annotations), encoding="utf-8")
-    log.info("counterfactual report written to %s", out)
     sys.stderr.write(text)
-    return out / "counterfactual.txt"
+    return {
+        "counterfactual.txt": text,
+        "counterfactual.json": _json_text("counterfactual.json", report.to_json()),
+        "counterfactual.dot": to_dot(tree, annotations),
+    }
 
 
-def cmd_simplify(args, cfg: dict) -> Path:
+def cmd_simplify(args, cfg: dict) -> dict[str, str]:
     tree, variables = gpsr.model_from_document(_read_json(args.model))
     data, _, _ = _resolve_dataset(cfg)
     magnitude, threshold = cfg["ris"]["magnitude"], cfg["ris"]["threshold"]
@@ -386,8 +375,6 @@ def cmd_simplify(args, cfg: dict) -> Path:
         len(pruned),
         f" at node id(s) {pruned}" if pruned else "",
     )
-
-    out = _out_dir(cfg)
     doc = {
         **gpsr.tree_document(simplified, variables),
         "simplified_from_size": tree.size,
@@ -395,9 +382,10 @@ def cmd_simplify(args, cfg: dict) -> Path:
         "threshold": threshold,
         "magnitude": magnitude,
     }
-    _write_json(out / "simplified_model.json", doc)
-    (out / "simplified_tree.dot").write_text(to_dot(simplified), encoding="utf-8")
-    return out / "simplified_model.json"
+    return {
+        "simplified_model.json": _json_text("simplified_model.json", doc),
+        "simplified_tree.dot": to_dot(simplified),
+    }
 
 
 COMMON = ("--config", "--seed", "--out", "--stdout")
@@ -437,10 +425,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         args = build_parser().parse_args(argv)
-        artifact = COMMANDS[args.command][0](args, _run_config(args))
+        cfg = _run_config(args)
+        artifacts = COMMANDS[args.command][0](args, cfg)
+        files = {name: text.encode("utf-8") for name, text in artifacts.items()}
+        for name in files:
+            if "\0" in name or len(name.encode("utf-8")) > NAME_MAX:
+                raise EcdError(f"{name!r}: a file name holds no NUL and at most {NAME_MAX} bytes in UTF-8")
+        out = Path(cfg[""].get("out", "."))
+        out.mkdir(parents=True, exist_ok=True)
+        for name, data in files.items():
+            (out / name).write_bytes(data)
+        log.info("wrote %d file(s) in %s: %s", len(files), out, ", ".join(files))
         if args.stdout:
-            with open(artifact, encoding="utf-8", newline="") as handle:
-                sys.stdout.write(handle.read())
+            sys.stdout.write(next(iter(artifacts.values())))
         return 0
     except EcdError as exc:
         log.error("%s", exc)
@@ -448,7 +445,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FileNotFoundError as exc:
         log.error("file not found: %s", exc.filename or exc)
         return 1
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeError) as exc:
         log.error("%s", exc)
         return 1
     except json.JSONDecodeError as exc:

@@ -7,6 +7,7 @@ Datasets are immutable after load and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import logging
 import math
@@ -74,13 +75,16 @@ class Dataset:
         except KeyError:
             raise MissingColumn(name) from None
 
-    def to_csv(self, path) -> None:
-        """Write all columns; floats rendered via repr so reloads round-trip."""
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(self.names)
-            for row in zip(*(col.tolist() for col in self.columns.values())):
-                writer.writerow([format_constant(value) for value in row])
+    def to_csv(self) -> str:
+        """All columns as CSV text, floats rendered via repr so reloads round-trip.
+        Rows become Python floats a block at a time, so memory stays flat."""
+        handle, step = io.StringIO(), 65536
+        writer = csv.writer(handle)
+        writer.writerow(self.names)
+        for start in range(0, self.n_rows, step):
+            block = (col[start:start + step].tolist() for col in self.columns.values())
+            writer.writerows([format_constant(value) for value in row] for row in zip(*block))
+        return handle.getvalue()
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,10 @@ class RoleConfig:
         return self.predictors + (self.response,)
 
 
+# The missing_policy values load_csv takes.
+MISSING_POLICIES = ("drop_row", "fail")
+
+
 def load_csv(path, role_config: RoleConfig, missing_policy: str = "drop_row") -> Dataset:
     """Read the selected columns of a headered CSV as float64.
 
@@ -116,7 +124,7 @@ def load_csv(path, role_config: RoleConfig, missing_policy: str = "drop_row") ->
     rest of the body to the row reader, and both parse a cell to the same
     double that float() gives.
     """
-    if missing_policy not in ("drop_row", "fail"):
+    if missing_policy not in MISSING_POLICIES:
         raise InvalidConfig(f"unknown missing_policy {missing_policy!r}")
 
     wanted = role_config.selected
@@ -133,6 +141,8 @@ def load_csv(path, role_config: RoleConfig, missing_policy: str = "drop_row") ->
         for name in wanted:
             if name not in header:
                 raise MissingColumn(name)
+            if header.count(name) > 1:
+                raise EcdError(f"{path}: column {name!r} appears more than once in the header")
             positions.append(header.index(name))
         matrix = _read_body(path, handle, wanted, positions, missing_policy)
 
@@ -263,17 +273,18 @@ def _number(value) -> float:
     return float(value)
 
 
-def filter_rows(data: Dataset, predicate_spec: Sequence) -> Dataset:
-    """Keep rows satisfying every clause of an AND-combined predicate list.
+def filter_clauses(predicate_spec, roles: RoleConfig | None = None) -> list[tuple[str, str, float, float]]:
+    """The clauses of an AND-combined predicate list, each as (name, op, lo, hi).
 
     Each clause is [name, op, value]: name a nonempty string, op one of ==,
     <=, >=, or range, and value a number (an int or a float, not a bool);
     range takes [lo, hi], two numbers, and keeps lo <= value <= hi. An empty
-    spec keeps everything.
+    spec has no clauses. Given roles, each name must be the response or a
+    predictor, as those are the columns load_csv reads.
     """
     if not isinstance(predicate_spec, (list, tuple)):
         raise InvalidPredicate(f"a filter is a list of clauses, got {predicate_spec!r}")
-    mask = np.ones(data.n_rows, dtype=bool)
+    clauses = []
     for clause in predicate_spec:
         try:
             name, op, value = clause
@@ -281,12 +292,23 @@ def filter_rows(data: Dataset, predicate_spec: Sequence) -> Dataset:
             raise InvalidPredicate(f"clause must be [name, op, value]: {clause!r}") from None
         if not isinstance(name, str) or not name:
             raise InvalidPredicate(f"clause name must be a nonempty string: {clause!r}")
-        col = data.column(name)
+        if roles is not None and name not in roles.selected:
+            raise InvalidPredicate(f"filter column {name!r} is neither the response nor a predictor")
         if op not in ("range", *_COMPARATORS):
             raise InvalidPredicate(f"unknown comparison {op!r}")
         try:
             lo, hi = map(_number, value if op == "range" else (value, value))
         except (TypeError, ValueError, OverflowError):
             raise InvalidPredicate(f"{op} needs a number, or [lo, hi] for range: {clause!r}") from None
+        clauses.append((name, op, lo, hi))
+    return clauses
+
+
+def filter_rows(data: Dataset, predicate_spec: Sequence) -> Dataset:
+    """Keep rows satisfying every clause of predicate_spec (see filter_clauses);
+    an empty spec keeps everything."""
+    mask = np.ones(data.n_rows, dtype=bool)
+    for name, op, lo, hi in filter_clauses(predicate_spec):
+        col = data.column(name)
         mask &= (col >= lo) & (col <= hi) if op == "range" else _COMPARATORS[op](col, lo)
     return Dataset({name: col[mask] for name, col in data.columns.items()})

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence, Union
@@ -509,21 +510,22 @@ def evolve(data: Dataset, response: str, config: GpConfig) -> FitResult:
     return FitResult(best=best, history=tuple(history), terminated_by=terminated_by)
 
 
-def history_to_csv(history: Iterable[GenerationStats], path) -> None:
-    """Write the per-generation log with full-precision numerics."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(HISTORY_COLUMNS)
-        for stats in history:
-            writer.writerow(
-                [
-                    stats.generation,
-                    repr(stats.min_fitness),
-                    repr(stats.mean_fitness),
-                    repr(stats.diversity),
-                    stats.best_expression,
-                ]
-            )
+def history_to_csv(history: Iterable[GenerationStats]) -> str:
+    """The per-generation log as CSV text, with full-precision numerics."""
+    handle = io.StringIO()
+    writer = csv.writer(handle)
+    writer.writerow(HISTORY_COLUMNS)
+    for stats in history:
+        writer.writerow(
+            [
+                stats.generation,
+                repr(stats.min_fitness),
+                repr(stats.mean_fitness),
+                repr(stats.diversity),
+                stats.best_expression,
+            ]
+        )
+    return handle.getvalue()
 
 
 def tree_document(tree: ExpressionTree, variables: Sequence[str]) -> dict:

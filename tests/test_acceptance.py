@@ -283,8 +283,8 @@ def test_08_determinism(noiseless_runs, tmp_path):
     model_a = json.dumps(model_document(first.best, predictors, config), indent=2, sort_keys=True)
     model_b = json.dumps(model_document(rerun.best, predictors, config), indent=2, sort_keys=True)
     path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
-    history_to_csv(first.history, path_a)
-    history_to_csv(rerun.history, path_b)
+    path_a.write_text(history_to_csv(first.history), encoding="utf-8", newline="")
+    path_b.write_text(history_to_csv(rerun.history), encoding="utf-8", newline="")
     same_model = model_a.encode() == model_b.encode()
     same_history = path_a.read_bytes() == path_b.read_bytes()
     report(

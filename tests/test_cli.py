@@ -6,7 +6,8 @@ import logging
 import numpy as np
 import pytest
 
-from ecd.cli import _write_json, build_parser, main
+from ecd import gpsr
+from ecd.cli import COMMANDS, _json_text, build_parser, main
 from ecd.errors import MalformedTree
 from ecd.exprcore import ExpressionTree, Operator, const_node, op_node, var_node
 from ecd.gpsr import GpConfig, Individual, model_document, model_from_document
@@ -775,8 +776,7 @@ class TestMalformedModel:
         tree = ExpressionTree((Operator.ADD,) * depth + ("A",) + ("B",) * depth)
         doc = model_document(Individual(tree, fitness=0.0, raw_mse=0.0), ["A", "B"], GpConfig())
         with pytest.raises(MalformedTree, match="nested too deeply to write"):
-            _write_json(tmp_path / "model.json", doc)
-        assert not (tmp_path / "model.json").exists()
+            _json_text("model.json", doc)
 
     @pytest.mark.parametrize(
         "extra", [{"schema_version": 2}, {"operators": ["add", "pow"]}, {"operators": "add"}]
@@ -918,20 +918,24 @@ BAD_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("field", [None, *BAD_FIELDS])
-@pytest.mark.parametrize("command", ["gen", "fit", "ris", "counterfactual", "simplify"])
-def test_every_command_checks_every_section(tmp_path, caplog, command, field):
-    """A shared config with one bad field stops every command before it
-    writes anything, whether or not the command reads that field."""
-    model_path, data_path = ris_fixture(tmp_path)
-    data = ["--csv", str(data_path), "--response", "Z", "--predictors", "B,C,D"]
-    argv = {
+def command_argv(command, model_path, data) -> list[str]:
+    """argv of command over the model at model_path, with data as its data flags."""
+    return {
         "gen": ["gen"],
         "fit": ["fit", *data],
         "ris": ["ris", "--model", str(model_path), *data],
         "counterfactual": ["counterfactual", "--model", str(model_path)],
         "simplify": ["simplify", "--model", str(model_path), *data],
     }[command]
+
+
+@pytest.mark.parametrize("field", [None, *BAD_FIELDS])
+@pytest.mark.parametrize("command", ["gen", "fit", "ris", "counterfactual", "simplify"])
+def test_every_command_checks_every_section(tmp_path, caplog, command, field):
+    """A shared config with one bad field stops every command before it
+    writes anything, whether or not the command reads that field."""
+    model_path, data_path = ris_fixture(tmp_path)
+    argv = command_argv(command, model_path, ["--csv", str(data_path), "--response", "Z", "--predictors", "B,C,D"])
     doc = dict(SHARED_CONFIG)
     if field is not None:
         section, key = field.split(".")
@@ -1086,6 +1090,123 @@ def test_file_that_is_not_utf8(tmp_path, caplog, flag):
             "--predictors", "B,C,D", "--config", str(cfg), "--out", str(out)]
     assert main(argv) == 1
     assert "can't decode byte 0xff" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_main_writes_exactly_the_files_a_command_returns(tmp_path, monkeypatch, capsys, command):
+    """A command returns its files as {name: text} and writes none itself;
+    main writes each text verbatim and prints the first under --stdout."""
+    model_path, data_path = ris_fixture(tmp_path)
+    argv = command_argv(command, model_path, ["--csv", str(data_path), "--response", "Z", "--predictors", "B,C,D"])
+    function, help_text, flags = COMMANDS[command]
+    returned = []
+
+    def recording(*args):
+        returned.append(function(*args))
+        return returned[-1]
+
+    monkeypatch.setitem(COMMANDS, command, (recording, help_text, flags))
+    cfg = tmp_path / "config.json"
+    write_config(cfg, SHARED_CONFIG)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(cfg), "--out", str(out), "--stdout"]) == 0
+    [artifacts] = returned
+    assert sorted(path.name for path in out.iterdir()) == sorted(artifacts)
+    for name, text in artifacts.items():
+        assert (out / name).read_bytes() == text.encode("utf-8")
+    assert capsys.readouterr().out == next(iter(artifacts.values()))
+
+
+def test_fit_that_cannot_write_its_model_leaves_no_out(tmp_path, monkeypatch, caplog):
+    # json.dumps(indent=2) recurses per level and fails from depth ~500
+    depth = 600
+    tree = ExpressionTree((Operator.ADD,) * depth + ("A",) + ("B",) * depth)
+    doc = model_document(Individual(tree, fitness=0.0, raw_mse=0.0), ["A", "B"], GpConfig())
+    monkeypatch.setattr(gpsr, "model_document", lambda *args: doc)
+    cfg = tmp_path / "config.json"
+    write_config(cfg, {"gp": TINY_GP})
+    out = tmp_path / "out"
+    assert main(["fit", "--synth", "--n", "20", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "model.json: the tree is nested too deeply to write" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["P" * 250, "P\0B"], ids=["250-characters", "nul"])
+def test_file_name_past_name_max_or_with_nul_is_refused_before_any_write(tmp_path, caplog, name):
+    """A 250-character predictor name makes a 260-byte cell file name, and a
+    NUL in a name one that no file system takes; main refuses either, naming
+    the file, before it makes --out."""
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(1.0, 4.0, 30), rng.uniform(1.0, 4.0, 30)
+    data_path = tmp_path / "data.csv"
+    write_csv(data_path, {name: a, "B": b, "Z": a + b})
+    cfg = tmp_path / "config.json"
+    write_config(cfg, {"gp": TINY_GP})
+    data = ["--csv", str(data_path), "--response", "Z", "--predictors", f"{name},B", "--config", str(cfg)]
+    assert main(["fit", *data, "--out", str(tmp_path / "fit")]) == 0
+    out = tmp_path / "ris"
+    assert main(["ris", "--model", str(tmp_path / "fit" / "model.json"), *data, "--out", str(out)]) == 1
+    assert f"{f'impact_{name}_Q1.dot'!r}: a file name holds no NUL and at most 255 bytes" in caplog.text
+    assert not out.exists()
+
+
+def test_text_that_utf8_cannot_encode_is_refused_before_any_write(tmp_path, caplog):
+    # JSON's "\ud800" reads as a lone surrogate, which the report's scenario line repeats
+    model_path = tmp_path / "model.json"
+    bcd_model(model_path)
+    cfg = tmp_path / "config.json"
+    write_config(cfg, {"scenario": {"B": 2, "C": 3, "D": 5, "\ud800": 1}, "intervention": SET_D})
+    out = tmp_path / "out"
+    assert main(["counterfactual", "--model", str(model_path), "--config", str(cfg), "--out", str(out)]) == 1
+    assert "surrogates not allowed" in caplog.text
+    assert not out.exists()
+
+
+# Faults of the data section, as {id: (data section, the error it ends in)}.
+DATA_FAULTS = {
+    "missing-policy": ({"missing_policy": "bogus"}, "unknown missing_policy 'bogus'"),
+    "filter-op": ({"filter": [["B", "~", 1]]}, "unknown comparison '~'"),
+    "response-is-predictor": ({"response": "Z", "predictors": ["Z"]}, "response 'Z' cannot also be a predictor"),
+    "filter-column": (
+        {"response": "Z", "predictors": ["B"], "filter": [["C", ">=", 1]]},
+        "filter column 'C' is neither the response nor a predictor",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", [None, *DATA_FAULTS])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_command_checks_the_data_section(tmp_path, caplog, command, fault):
+    """A bad data section stops every command before it writes anything,
+    also those that read the synthetic source or no data."""
+    model_path, _ = ris_fixture(tmp_path)
+    argv = command_argv(command, model_path, ["--synth"])
+    section, message = DATA_FAULTS[fault] if fault else ({}, None)
+    cfg = tmp_path / "config.json"
+    write_config(cfg, dict(SHARED_CONFIG, data=section))
+    out = tmp_path / "out"
+    code = main([*argv, "--config", str(cfg), "--out", str(out)])
+    if fault is None:
+        assert code == 0
+    else:
+        assert code == 1
+        assert message in caplog.text
+        assert not out.exists()
+
+
+def test_filter_on_an_unselected_column_is_refused_before_the_csv_loads(tmp_path, caplog):
+    # S is in the CSV, but load_csv reads only the response and the predictors
+    data_path = tmp_path / "data.csv"
+    write_csv(data_path, {"A": [1.0, 2.0, 3.0, 4.0], "S": [0, 1, 0, 1], "Z": [2.0, 4.0, 6.0, 8.0]})
+    cfg = tmp_path / "config.json"
+    write_config(cfg, {"gp": TINY_GP, "data": {"filter": [["S", "==", 1]]}})
+    out = tmp_path / "out"
+    argv = ["fit", "--csv", str(data_path), "--response", "Z", "--predictors", "A", "--config", str(cfg)]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        "filter column 'S' is neither the response nor a predictor"
+    ]
     assert not out.exists()
 
 

@@ -57,7 +57,7 @@ class TestDataset:
     def test_csv_round_trip(self, tmp_path):
         data = Dataset({"A": [1.0, 0.25, -3.0], "B": [2.0, 5.5, 1e-9]})
         path = tmp_path / "out.csv"
-        data.to_csv(path)
+        path.write_text(data.to_csv(), encoding="utf-8", newline="")
         again = load_csv(path, RoleConfig(response="B", predictors=("A",)))
         assert np.array_equal(again.column("A"), data.column("A"))
         assert np.array_equal(again.column("B"), data.column("B"))
@@ -99,6 +99,15 @@ class TestLoadCsv:
     def test_missing_header_column(self, tmp_path):
         with pytest.raises(MissingColumn):
             load_csv(write(tmp_path, "A,C\n1,2\n"), ROLES)
+
+    def test_repeated_selected_column_is_refused(self, tmp_path):
+        path = write(tmp_path, "A, A,B\n1,2,3\n")
+        with pytest.raises(EcdError, match=re.escape(f"{path}: column 'A' appears more than once in the header")):
+            load_csv(path, ROLES)
+
+    def test_repeated_unselected_column_is_allowed(self, tmp_path):
+        data = load_csv(write(tmp_path, "C,A,C,B\nx,1,y,2\n"), ROLES)
+        assert (data.column("A")[0], data.column("B")[0]) == (1.0, 2.0)
 
     def test_non_finite_cells_count_as_missing(self, tmp_path):
         data = load_csv(write(tmp_path, "A,B\ninf,2\n1,nan\n3,4\n"), ROLES)
@@ -279,6 +288,11 @@ class TestFilterRows:
             filter_rows(self.data, [["Age"]])
         with pytest.raises(MissingColumn):
             filter_rows(self.data, [["Height", "==", 1]])
+
+    def test_clause_outside_the_roles(self):
+        assert dataio.filter_clauses([["A", "range", [1, 2]]], ROLES) == [("A", "range", 1.0, 2.0)]
+        with pytest.raises(InvalidPredicate, match="'Age' is neither the response nor a predictor"):
+            dataio.filter_clauses([["Age", ">=", 60]], ROLES)
 
     def test_value_beyond_float_range(self):
         for spec in ([["Age", ">=", 10**400]], [["Age", "range", [0, 10**400]]]):

@@ -514,7 +514,7 @@ class TestHistoryCsv:
         data = make_data()
         res = evolve(data, "Z", GpConfig(population_size=100, generations=4, seed=0))
         path = tmp_path / "history.csv"
-        history_to_csv(res.history, path)
+        path.write_text(history_to_csv(res.history), encoding="utf-8", newline="")
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == list(HISTORY_COLUMNS)
