@@ -7,7 +7,8 @@ text is checked as that field's value in the file is, and every refusal, of
 a flag or of the file, exits 1 with one ERROR line. Logs go to stderr.
 Each command returns its artifacts as {file name: text}, primary first, and
 writes nothing; main alone makes --out, writes every text there, and copies
-the primary one to stdout under --stdout.
+the primary one to stdout under --stdout; counterfactual's report is also
+echoed to stderr once it is written.
 """
 
 from __future__ import annotations
@@ -353,7 +354,6 @@ def cmd_counterfactual(args, cfg: dict) -> dict[str, str]:
         lines.append("most changed internal nodes:")
         lines.extend(f"  node {i} {_describe_node(tree, i)}: {annotations[i]}" for i in top)
     text = "\n".join(lines) + "\n"
-    sys.stderr.write(text)
     return {
         "counterfactual.txt": text,
         "counterfactual.json": _json_text("counterfactual.json", report.to_json()),
@@ -427,17 +427,24 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         cfg = _run_config(args)
         artifacts = COMMANDS[args.command][0](args, cfg)
-        files = {name: text.encode("utf-8") for name, text in artifacts.items()}
-        for name in files:
+        files = {}
+        for name, text in artifacts.items():
             if "\0" in name or len(name.encode("utf-8")) > NAME_MAX:
                 raise EcdError(f"{name!r}: a file name holds no NUL and at most {NAME_MAX} bytes in UTF-8")
+            try:
+                files[name] = text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise EcdError(f"{name}: {exc}") from None
         out = Path(cfg[""].get("out", "."))
         out.mkdir(parents=True, exist_ok=True)
         for name, data in files.items():
             (out / name).write_bytes(data)
         log.info("wrote %d file(s) in %s: %s", len(files), out, ", ".join(files))
+        primary = next(iter(artifacts.values()))
         if args.stdout:
-            sys.stdout.write(next(iter(artifacts.values())))
+            sys.stdout.write(primary)
+        if args.command == "counterfactual":  # its short report is echoed once written
+            sys.stderr.write(primary)
         return 0
     except EcdError as exc:
         log.error("%s", exc)

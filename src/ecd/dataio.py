@@ -259,13 +259,6 @@ def _read_rows(
     return np.asarray(kept, dtype=np.float64).reshape(-1, len(positions))
 
 
-_COMPARATORS = {
-    "==": lambda col, v: col == v,
-    "<=": lambda col, v: col <= v,
-    ">=": lambda col, v: col >= v,
-}
-
-
 def _number(value) -> float:
     """A JSON number, an int or a float but not a bool, as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -274,13 +267,15 @@ def _number(value) -> float:
 
 
 def filter_clauses(predicate_spec, roles: RoleConfig | None = None) -> list[tuple[str, str, float, float]]:
-    """The clauses of an AND-combined predicate list, each as (name, op, lo, hi).
+    """The clauses of an AND-combined predicate list, each as (name, op, lo, hi),
+    which keeps the rows whose name column lies in the closed interval [lo, hi].
 
     Each clause is [name, op, value]: name a nonempty string, op one of ==,
-    <=, >=, or range, and value a number (an int or a float, not a bool);
-    range takes [lo, hi], two numbers, and keeps lo <= value <= hi. An empty
-    spec has no clauses. Given roles, each name must be the response or a
-    predictor, as those are the columns load_csv reads.
+    <=, >=, or range, and value a number (an int or a float, not a bool):
+    == v is [v, v], <= v is [-inf, v], >= v is [v, inf], and range takes
+    [lo, hi], two numbers. An empty spec has no clauses. Given roles, each
+    name must be the response or a predictor, as those are the columns
+    load_csv reads.
     """
     if not isinstance(predicate_spec, (list, tuple)):
         raise InvalidPredicate(f"a filter is a list of clauses, got {predicate_spec!r}")
@@ -294,13 +289,13 @@ def filter_clauses(predicate_spec, roles: RoleConfig | None = None) -> list[tupl
             raise InvalidPredicate(f"clause name must be a nonempty string: {clause!r}")
         if roles is not None and name not in roles.selected:
             raise InvalidPredicate(f"filter column {name!r} is neither the response nor a predictor")
-        if op not in ("range", *_COMPARATORS):
+        if op not in ("==", "<=", ">=", "range"):
             raise InvalidPredicate(f"unknown comparison {op!r}")
         try:
             lo, hi = map(_number, value if op == "range" else (value, value))
         except (TypeError, ValueError, OverflowError):
             raise InvalidPredicate(f"{op} needs a number, or [lo, hi] for range: {clause!r}") from None
-        clauses.append((name, op, lo, hi))
+        clauses.append((name, op, -math.inf if op == "<=" else lo, math.inf if op == ">=" else hi))
     return clauses
 
 
@@ -308,7 +303,7 @@ def filter_rows(data: Dataset, predicate_spec: Sequence) -> Dataset:
     """Keep rows satisfying every clause of predicate_spec (see filter_clauses);
     an empty spec keeps everything."""
     mask = np.ones(data.n_rows, dtype=bool)
-    for name, op, lo, hi in filter_clauses(predicate_spec):
+    for name, _, lo, hi in filter_clauses(predicate_spec):
         col = data.column(name)
-        mask &= (col >= lo) & (col <= hi) if op == "range" else _COMPARATORS[op](col, lo)
+        mask &= (col >= lo) & (col <= hi)
     return Dataset({name: col[mask] for name, col in data.columns.items()})

@@ -94,8 +94,10 @@ def op_node(operator: Operator, *children: Tokens) -> Tokens:
 
 
 def format_constant(value: float) -> str:
-    """Shortest decimal form that round-trips; integral values drop the mantissa."""
-    if value == int(value) and abs(value) < 1e16:
+    """Shortest decimal form that round-trips; integral values inside
+    (-1e16, 1e16) print without a fraction, and a non-finite value prints as
+    inf, -inf or nan."""
+    if -1e16 < value < 1e16 and value == int(value):
         return str(int(value))
     return repr(value)
 

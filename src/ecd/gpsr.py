@@ -3,12 +3,12 @@
 The generational loop is select -> crossover -> mutate with elitism, tournament
 selection, and an MSE-plus-parsimony fitness over exprcore.evaluate_batch's
 output. All randomness flows from one seed: numpy's SeedSequence spawns one
-substream for initialization and one per breeding generation, each a PCG64 bit
-generator whose raw 64-bit words _Pcg64Stream turns into exactly the draws
-numpy's Generator would make. Runs are reproducible across platforms and
-restarts, and depend on numpy only through SeedSequence and the PCG64 bit
-stream, which NumPy keeps stable across versions (NEP 19), not through
-Generator's sampling methods.
+substream for initialization and one as each breeding generation starts, each
+a PCG64 bit generator whose raw 64-bit words _Pcg64Stream turns into exactly
+the draws numpy's Generator would make. Runs are reproducible across
+platforms and restarts, and depend on numpy only through SeedSequence and the
+PCG64 bit stream, which NumPy keeps stable across versions (NEP 19), not
+through Generator's sampling methods.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import csv
 import enum
 import io
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -53,8 +53,6 @@ GROW_TERMINAL_PROB = 0.3
 
 STAGNATION_WINDOW = 10
 STAGNATION_EPS = 1e-12
-
-HISTORY_COLUMNS = ("generation", "min_fitness", "mean_fitness", "diversity", "best_expression")
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -164,11 +162,16 @@ class Individual:
 
 @dataclass(frozen=True)
 class GenerationStats:
+    """One history.csv row; its fields, in order, are the file's columns."""
+
     generation: int
     min_fitness: float
     mean_fitness: float
     diversity: float
     best_expression: str
+
+
+HISTORY_COLUMNS = tuple(field.name for field in fields(GenerationStats))
 
 
 class Termination(enum.Enum):
@@ -249,12 +252,6 @@ class _Pcg64Stream:
 # may pass a numpy Generator, whose integers(n), random() and uniform(lo, hi)
 # give the same draws.
 Rng = Union[_Pcg64Stream, np.random.Generator]
-
-
-def _rng_streams(config: GpConfig) -> list[_Pcg64Stream]:
-    """Stream 0 seeds initialization; stream t >= 1 breeds generation t."""
-    seqs = np.random.SeedSequence(config.seed).spawn(config.generations + 1)
-    return [_Pcg64Stream(s) for s in seqs]
 
 
 def _random_tree(
@@ -440,8 +437,10 @@ def evolve(data: Dataset, response: str, config: GpConfig) -> FitResult:
     if not variables:
         raise InvalidConfig("dataset provides no predictor columns")
 
-    streams = _rng_streams(config)
-    population = init_population(config, variables, streams[0])
+    # spawn(1) numbers its children in order: child 0 seeds initialization,
+    # child t breeds generation t, spawned only when that generation starts.
+    seeds = np.random.SeedSequence(config.seed)
+    population = init_population(config, variables, _Pcg64Stream(*seeds.spawn(1)))
 
     # Keyed by token tuple: equal tuples are equal trees, and constants are
     # floats only, so no two distinct trees share a key. Every individual is
@@ -495,7 +494,7 @@ def evolve(data: Dataset, response: str, config: GpConfig) -> FitResult:
         if generation == config.generations - 1:
             break
 
-        rng = streams[generation + 1]
+        rng = _Pcg64Stream(*seeds.spawn(1))
         offspring: list[Individual] = [population[i] for i in order[: config.elitism_count]]
         while len(offspring) < config.population_size:
             tree = population[order[select(ranks, config.tournament_size, rng)]].tree
@@ -516,15 +515,8 @@ def history_to_csv(history: Iterable[GenerationStats]) -> str:
     writer = csv.writer(handle)
     writer.writerow(HISTORY_COLUMNS)
     for stats in history:
-        writer.writerow(
-            [
-                stats.generation,
-                repr(stats.min_fitness),
-                repr(stats.mean_fitness),
-                repr(stats.diversity),
-                stats.best_expression,
-            ]
-        )
+        values = (getattr(stats, name) for name in HISTORY_COLUMNS)
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in values])
     return handle.getvalue()
 
 

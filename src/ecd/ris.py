@@ -122,21 +122,21 @@ def annotation(before: float, after: float) -> str:
     return f"{format_value(before)} -> {format_value(after)} ({format_impact(after - before)})"
 
 
-def format_value(value: float) -> str:
-    """3 decimals, or .3e outside (-1e16, 1e16), format_constant's cutoff, so
-    labels stay short; nan and inf read as in .3f."""
-    return f"{value:.3f}" if -1e16 < value < 1e16 else f"{value:.3e}"
+def format_value(value: float, spec: str = ".3") -> str:
+    """value in fixed point to spec's sign and precision (3 decimals by
+    default), or in exponent form outside (-1e16, 1e16), format_constant's
+    cutoff, so labels stay short; nan and inf read as in fixed point."""
+    return f"{value:{spec}f}" if -1e16 < value < 1e16 else f"{value:{spec}e}"
 
 
 def format_impact(value: float) -> str:
-    if round(value, 3) == 0:
-        return "±0.000"
-    return f"{value:+.3f}" if -1e16 < value < 1e16 else f"{value:+.3e}"
+    """A signed change to 3 decimals, or ±0.000 where it rounds to 0."""
+    return "±0.000" if round(value, 3) == 0 else format_value(value, "+.3")
 
 
 def format_baseline(value: float) -> str:
-    """1 decimal, or .1e outside (-1e16, 1e16) as in format_value."""
-    return f"{value:.1f}" if -1e16 < value < 1e16 else f"{value:.1e}"
+    """A baseline to 1 decimal, as format_value prints it."""
+    return format_value(value, ".1")
 
 
 def perturbed_values(

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import logging
+import sys
 
 import numpy as np
 import pytest
@@ -1151,7 +1152,7 @@ def test_file_name_past_name_max_or_with_nul_is_refused_before_any_write(tmp_pat
     assert not out.exists()
 
 
-def test_text_that_utf8_cannot_encode_is_refused_before_any_write(tmp_path, caplog):
+def test_text_that_utf8_cannot_encode_is_refused_before_any_write(tmp_path, capsys, caplog):
     # JSON's "\ud800" reads as a lone surrogate, which the report's scenario line repeats
     model_path = tmp_path / "model.json"
     bcd_model(model_path)
@@ -1160,7 +1161,29 @@ def test_text_that_utf8_cannot_encode_is_refused_before_any_write(tmp_path, capl
     out = tmp_path / "out"
     assert main(["counterfactual", "--model", str(model_path), "--config", str(cfg), "--out", str(out)]) == 1
     assert "surrogates not allowed" in caplog.text
+    assert "counterfactual.txt: 'utf-8' codec can't encode" in caplog.text
+    assert "scenario:" not in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_counterfactual_report_is_echoed_after_the_writes(tmp_path, capsys, caplog):
+    model_path = tmp_path / "model.json"
+    bcd_model(model_path)
+    out = tmp_path / "out"
+    caplog.set_level(logging.INFO, logger="ecd")
+    handler = logging.StreamHandler(sys.stderr)  # the stream capsys reads
+    handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
+    logging.getLogger("ecd").addHandler(handler)
+    try:
+        code = main(["counterfactual", "--model", str(model_path), "--at", "B=2", "--at", "C=3", "--at", "D=5",
+                     "--set", "D=6", "--out", str(out)])
+    finally:
+        logging.getLogger("ecd").removeHandler(handler)
+    assert code == 0
+    err = capsys.readouterr().err
+    report = (out / "counterfactual.txt").read_text()
+    assert report.startswith("scenario: B=2, C=3, D=5\n")
+    assert err.index(f"INFO: wrote 3 file(s) in {out}") < err.index(report)
 
 
 # Faults of the data section, as {id: (data section, the error it ends in)}.

@@ -260,6 +260,15 @@ class TestInfix:
         assert format_constant(0.1) == "0.1"
         assert format_constant(1e20) == "1e+20"
 
+    def test_non_finite_constants(self):
+        tree = ExpressionTree(
+            op_node(Operator.ADD, const_node(math.inf), op_node(Operator.MUL, const_node(-math.inf), const_node(math.nan)))
+        )
+        assert tree.infix == "(inf + (-inf * nan))"
+        labels = [line.split('"')[1] for line in to_dot(tree).splitlines() if "shape=box" in line]
+        assert labels == ["inf", "-inf", "nan"]
+        assert Dataset({"A": [math.inf, -math.inf, math.nan, 2.0]}).to_csv().split() == ["A", "inf", "-inf", "nan", "2"]
+
     def test_deterministic(self, rng):
         for _ in range(50):
             tree = random_tree(rng)

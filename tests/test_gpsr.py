@@ -37,7 +37,6 @@ from ecd.gpsr import (
     Termination,
     _Pcg64Stream,
     _point_mutation,
-    _rng_streams,
     crossover,
     diversity,
     evolve,
@@ -52,6 +51,11 @@ from ecd.gpsr import (
     select,
 )
 from ecd.synthbench import holdout_data
+
+
+def init_stream(cfg):
+    """The stream evolve initializes with: SeedSequence(seed)'s first child."""
+    return _Pcg64Stream(*np.random.SeedSequence(cfg.seed).spawn(1))
 
 
 class StubRng:
@@ -195,7 +199,7 @@ class TestGpConfig:
 class TestInitPopulation:
     def test_size_and_depth_bounds(self):
         cfg = GpConfig(population_size=10, init_depth_range=(2, 5))
-        pop = init_population(cfg, {"A"}, _rng_streams(cfg)[0])
+        pop = init_population(cfg, {"A"}, init_stream(cfg))
         assert len(pop) == 10
         for ind in pop:
             assert 2 <= node_depth(ind.tree.tokens) <= 5
@@ -203,19 +207,19 @@ class TestInitPopulation:
 
     def test_deterministic(self):
         cfg = GpConfig(population_size=30, seed=5)
-        a = init_population(cfg, {"A", "B"}, _rng_streams(cfg)[0])
-        b = init_population(cfg, {"B", "A"}, _rng_streams(cfg)[0])
+        a = init_population(cfg, {"A", "B"}, init_stream(cfg))
+        b = init_population(cfg, {"B", "A"}, init_stream(cfg))
         assert [i.tree.infix for i in a] == [i.tree.infix for i in b]
 
     def test_depth_one_range(self):
         cfg = GpConfig(population_size=12, init_depth_range=(1, 1), seed=3)
-        pop = init_population(cfg, {"A"}, _rng_streams(cfg)[0])
+        pop = init_population(cfg, {"A"}, init_stream(cfg))
         for ind in pop:
             assert node_depth(ind.tree.tokens) == 1
 
     def test_constants_within_range(self):
         cfg = GpConfig(population_size=60, constant_range=(-2.0, 2.0), seed=1)
-        pop = init_population(cfg, {"A"}, _rng_streams(cfg)[0])
+        pop = init_population(cfg, {"A"}, init_stream(cfg))
         seen = 0
         for ind in pop:
             for token in ind.tree.tokens:
@@ -227,7 +231,7 @@ class TestInitPopulation:
     def test_needs_variables(self):
         cfg = GpConfig(population_size=4)
         with pytest.raises(InvalidConfig):
-            init_population(cfg, set(), _rng_streams(cfg)[0])
+            init_population(cfg, set(), init_stream(cfg))
 
 
 class TestFitness:
@@ -482,6 +486,23 @@ class TestEvolve:
         assert res.terminated_by is Termination.FITNESS_THRESHOLD
         assert res.best.fitness <= 1e-9
         assert len(res.history) < 30
+
+    def test_threshold_met_in_generation_0_spawns_one_stream(self, monkeypatch):
+        # Each breeding stream is spawned as its generation starts, so a fit
+        # that stops in generation 0 spawns only the initialization stream.
+        spawned = []
+
+        class RecordingSeedSequence(np.random.SeedSequence):
+            def spawn(self, n_children):
+                spawned.append(n_children)
+                return super().spawn(n_children)
+
+        monkeypatch.setattr(np.random, "SeedSequence", RecordingSeedSequence)
+        cfg = GpConfig(population_size=8, generations=1000, fitness_threshold=PENALTY_MSE)
+        res = evolve(make_data(), "Z", cfg)
+        assert res.terminated_by is Termination.FITNESS_THRESHOLD
+        assert len(res.history) == 1
+        assert sum(spawned) == 1
 
     def test_history_invariants(self):
         data = make_data()

@@ -25,7 +25,7 @@ from hypothesis.stateful import RuleBasedStateMachine, rule, run_state_machine_a
 
 from conftest import VARS, naive_eval
 from ecd.cli import COMMANDS, FIELDS, FLAGS, _impact_dots, main
-from ecd.dataio import Dataset, RoleConfig, load_csv
+from ecd.dataio import Dataset, RoleConfig, filter_rows, load_csv
 from ecd.errors import EcdError, EmptyAfterFiltering, EmptyDataset, MissingColumn, ParseError
 from ecd.exprcore import (
     DIV_EPSILON,
@@ -448,6 +448,24 @@ def test_load_csv_matches_a_plain_row_reader(data, missing_policy):
         assert load_outcome(ecd_load_csv, path, missing_policy) == load_outcome(
             reference_load_csv, path, missing_policy
         )
+
+
+edge_values = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0]) | st.floats(-3.0, 3.0)
+
+
+@PROPERTY
+@given(
+    st.lists(edge_values, max_size=12),
+    st.sampled_from(["==", "<=", ">=", "range"]),
+    edge_values,
+    edge_values,
+)
+def test_filter_rows_keeps_what_numpy_comparisons_keep(column, op, a, b):
+    col = np.array(column, dtype=np.float64)
+    data = Dataset({"A": col, "row": np.arange(len(col), dtype=np.float64)})
+    kept = {"==": col == a, "<=": col <= a, ">=": col >= a, "range": (col >= a) & (col <= b)}[op]
+    out = filter_rows(data, [["A", op, [a, b] if op == "range" else a]])
+    assert out.column("row").tolist() == np.flatnonzero(kept).tolist()
 
 
 # Never a traceback: every config field, filter clause slot, scenario value

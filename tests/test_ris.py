@@ -485,6 +485,10 @@ class TestFormatting:
     def test_format_baseline(self):
         assert format_baseline(29.44) == "29.4"
         assert format_baseline(30.06) == "30.1"
+        assert format_baseline(9.9e15) == "9900000000000000.0"
+        assert format_baseline(-1e16) == "-1.0e+16"
+        assert format_baseline(1e308) == "1.0e+308"
+        assert (format_baseline(-math.inf), format_baseline(math.nan)) == ("-inf", "nan")
 
     def test_report_json_and_annotations(self):
         tree = bcd_tree()
