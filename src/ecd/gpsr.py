@@ -1,14 +1,17 @@
 """Genetic-programming symbolic regression over expression trees.
 
-The generational loop is select -> crossover -> mutate with elitism, tournament
-selection, and an MSE-plus-parsimony fitness over exprcore.evaluate_batch's
-output. All randomness flows from one seed: numpy's SeedSequence spawns one
-substream for initialization and one as each breeding generation starts, each
-a PCG64 bit generator whose raw 64-bit words _Pcg64Stream turns into exactly
-the draws numpy's Generator would make. Runs are reproducible across
-platforms and restarts, and depend on numpy only through SeedSequence and the
-PCG64 bit stream, which NumPy keeps stable across versions (NEP 19), not
-through Generator's sampling methods.
+Each generation keeps its elitism_count best and breeds the rest: each
+offspring slot's parent wins a rank tournament, slots 2k and 2k + 1 pair up
+for a subtree crossover that keeps both children, and each slot may mutate.
+Fitness is MSE plus parsimony over exprcore.evaluate_batch's output.
+
+All randomness flows from one seed: numpy's SeedSequence spawns one child for
+initialization and one as each breeding generation starts. Initialization
+and mutation draw scalars through _Pcg64Stream, the draws numpy's Generator
+would make, computed from raw PCG64 words. Breeding draws its tournaments,
+pair flags, crossover points and mutation flags as arrays from
+Generator(PCG64(child)), in the order breed lists them. Runs are
+reproducible across platforms and restarts.
 """
 
 from __future__ import annotations
@@ -248,9 +251,9 @@ class _Pcg64Stream:
                 return m >> 32
 
 
-# What breeding draws from: evolve passes a _Pcg64Stream, and other callers
-# may pass a numpy Generator, whose integers(n), random() and uniform(lo, hi)
-# give the same draws.
+# What initialization and mutation draw from: evolve passes a _Pcg64Stream, and
+# other callers may pass a numpy Generator, whose integers(n), random() and
+# uniform(lo, hi) give the same draws.
 Rng = Union[_Pcg64Stream, np.random.Generator]
 
 
@@ -339,30 +342,25 @@ def ranking(population: Sequence[Individual]) -> tuple[list[int], list[int]]:
     return order, ranks
 
 
-def select(ranks: Sequence[int], tournament_size: int, rng: Rng) -> int:
-    """Tournament of uniformly sampled entrants, with replacement: the best
-    rank drawn, so order[select(...)] is the winner's index (see ranking)."""
-    if not ranks:
+def select(ranks: Sequence[int], entrants) -> list[int]:
+    """Tournaments, one per row of entrants (population indices, drawn with
+    replacement): each row's best rank, so order[rank] is the winner's index
+    (see ranking)."""
+    if not len(ranks):
         raise EmptyPopulation("cannot select from an empty population")
-    n, integers = len(ranks), rng.integers
-    best = ranks[integers(n)]
-    for _ in range(tournament_size - 1):
-        rank = ranks[integers(n)]
-        if rank < best:
-            best = rank
-    return best
+    return np.asarray(ranks)[entrants].min(axis=1).tolist()
 
 
 def crossover(
     parent_a: ExpressionTree,
     parent_b: ExpressionTree,
     max_depth: int,
-    rng: Rng,
+    point_a: int,
+    point_b: int,
 ) -> tuple[ExpressionTree, ExpressionTree]:
-    """Swap uniformly chosen subtrees. A child exceeding max_depth is replaced
-    by a copy of its corresponding parent."""
-    point_a = rng.integers(parent_a.size)
-    point_b = rng.integers(parent_b.size)
+    """Swap the subtrees rooted at point_a of parent_a and point_b of
+    parent_b. A child exceeding max_depth is replaced by a copy of its
+    corresponding parent."""
     sub_a = subtree_at(parent_a, point_a)
     sub_b = subtree_at(parent_b, point_b)
     # Children are built before their depth is checked: few exceed max_depth.
@@ -420,6 +418,45 @@ def diversity(population: Sequence[Individual]) -> float:
         return 0.0
     distinct = len({ind.tree.tokens for ind in population})
     return (distinct - 1) / (len(population) - 1)
+
+
+# Entrant draws per Generator.integers call, in whole tournament rows (at
+# least one row). numpy's bounded-integer fill keeps a spare half-word only
+# within one call, so this block size is part of the draw layout.
+ENTRANT_BLOCK = 1 << 16
+
+
+def breed(
+    population: Sequence[Individual],
+    order: Sequence[int],
+    ranks: Sequence[int],
+    config: GpConfig,
+    variables: Sequence[str],
+    seq: np.random.SeedSequence,
+) -> list[Individual]:
+    """The next generation: the elitism_count best, then m offspring bred
+    from Generator(PCG64(seq))'s draws in the order below; mutation draws
+    from _Pcg64Stream(seq's first child)."""
+    draws = np.random.Generator(np.random.PCG64(seq))
+    m, k = config.population_size - config.elitism_count, config.tournament_size
+    rows = max(1, ENTRANT_BLOCK // k)
+    rank_array = np.asarray(ranks)
+    winners: list[int] = []
+    for start in range(0, m, rows):
+        winners += select(rank_array, draws.integers(0, len(population), (min(rows, m - start), k)))
+    trees = [population[order[rank]].tree for rank in winners]
+
+    pairs = np.flatnonzero(draws.random(m // 2) < config.crossover_prob).tolist()
+    sizes = [trees[slot].size for pair in pairs for slot in (2 * pair, 2 * pair + 1)]
+    points = draws.integers(0, sizes).tolist()
+    for pair, point_a, point_b in zip(pairs, points[::2], points[1::2]):
+        a, b = 2 * pair, 2 * pair + 1
+        trees[a], trees[b] = crossover(trees[a], trees[b], config.max_depth, point_a, point_b)
+
+    rng = _Pcg64Stream(*seq.spawn(1))
+    for slot in np.flatnonzero(draws.random(m) < config.mutation_prob).tolist():
+        trees[slot] = mutate(trees[slot], variables, config.max_depth, config.constant_range, rng)
+    return [population[i] for i in order[: config.elitism_count]] + [Individual(t) for t in trees]
 
 
 def evolve(data: Dataset, response: str, config: GpConfig) -> FitResult:
@@ -494,17 +531,7 @@ def evolve(data: Dataset, response: str, config: GpConfig) -> FitResult:
         if generation == config.generations - 1:
             break
 
-        rng = _Pcg64Stream(*seeds.spawn(1))
-        offspring: list[Individual] = [population[i] for i in order[: config.elitism_count]]
-        while len(offspring) < config.population_size:
-            tree = population[order[select(ranks, config.tournament_size, rng)]].tree
-            if rng.random() < config.crossover_prob:
-                mate = population[order[select(ranks, config.tournament_size, rng)]]
-                tree, _ = crossover(tree, mate.tree, config.max_depth, rng)
-            if rng.random() < config.mutation_prob:
-                tree = mutate(tree, variables, config.max_depth, config.constant_range, rng)
-            offspring.append(Individual(tree))
-        population = offspring
+        population = breed(population, order, ranks, config, variables, *seeds.spawn(1))
 
     return FitResult(best=best, history=tuple(history), terminated_by=terminated_by)
 

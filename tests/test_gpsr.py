@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ecd import gpsr
 from ecd.dataio import Dataset
 from ecd.errors import (
     EmptyDataset,
@@ -25,6 +26,7 @@ from ecd.exprcore import (
     var_node,
 )
 from ecd.gpsr import (
+    ENTRANT_BLOCK,
     HISTORY_COLUMNS,
     MAX_DEPTH,
     MAX_GENERATIONS,
@@ -37,6 +39,7 @@ from ecd.gpsr import (
     Termination,
     _Pcg64Stream,
     _point_mutation,
+    breed,
     crossover,
     diversity,
     evolve,
@@ -298,7 +301,7 @@ class TestFitness:
 
 class TestSelect:
     def test_single_individual(self):
-        assert select([0], 5, StubRng(integers=[0, 0, 0, 0, 0])) == 0
+        assert select([0], [[0, 0, 0, 0, 0]]) == [0]
 
     def test_global_best_when_all_sampled(self):
         pop = [
@@ -308,7 +311,7 @@ class TestSelect:
         ]
         order, ranks = ranking(pop)
         assert (order, ranks) == ([1, 2, 0], [2, 0, 1])
-        assert pop[order[select(ranks, 3, StubRng(integers=[0, 1, 2]))]] is pop[1]
+        assert [pop[order[r]] for r in select(ranks, [[0, 1, 2], [0, 2, 2]])] == [pop[1], pop[2]]
 
     def test_tie_breaks_on_size_then_index(self):
         small = ExpressionTree(op_node(Operator.ADD, var_node("A"), var_node("B")))
@@ -319,16 +322,16 @@ class TestSelect:
         pop = [Individual(big, fitness=1.0), Individual(small, fitness=1.0)]
         order, ranks = ranking(pop)
         assert (order, ranks) == ([1, 0], [1, 0])
-        assert pop[order[select(ranks, 2, StubRng(integers=[0, 1]))]] is pop[1]
+        assert pop[order[select(ranks, [[0, 1]])[0]]] is pop[1]
         twin = ExpressionTree(op_node(Operator.SUB, var_node("A"), var_node("B")))
         pop2 = [Individual(small, fitness=1.0), Individual(twin, fitness=1.0)]
         order, ranks = ranking(pop2)
         assert (order, ranks) == ([0, 1], [0, 1])
-        assert pop2[order[select(ranks, 2, StubRng(integers=[1, 0]))]] is pop2[0]
+        assert pop2[order[select(ranks, [[1, 0]])[0]]] is pop2[0]
 
     def test_empty_population(self):
         with pytest.raises(EmptyPopulation):
-            select([], 3, StubRng())
+            select([], [[0, 0, 0]])
 
 
 def chain_tree(depth):
@@ -341,14 +344,14 @@ def chain_tree(depth):
 class TestCrossover:
     def test_self_cross_at_root(self):
         tree = chain_tree(2)
-        a, b = crossover(tree, tree, 8, StubRng(integers=[0, 0]))
+        a, b = crossover(tree, tree, 8, 0, 0)
         assert a.infix == tree.infix
         assert b.infix == tree.infix
 
     def test_leaf_swap_changes_one_leaf(self):
         left = ExpressionTree(op_node(Operator.ADD, var_node("A"), var_node("B")))
         right = ExpressionTree(op_node(Operator.MUL, var_node("C"), var_node("D")))
-        a, b = crossover(left, right, 8, StubRng(integers=[1, 2]))
+        a, b = crossover(left, right, 8, 1, 2)
         assert a.infix == "(D + B)"
         assert b.infix == "(C * A)"
 
@@ -357,7 +360,7 @@ class TestCrossover:
         deep = chain_tree(8)
         assert deep.depth == 8
         # swap deep's root into shallow's leaf: depth 9 > 8, child a reverts
-        a, b = crossover(shallow, deep, 8, StubRng(integers=[1, 0]))
+        a, b = crossover(shallow, deep, 8, 1, 0)
         assert a is shallow
         assert b.infix == "A"
 
@@ -365,7 +368,7 @@ class TestCrossover:
         for _ in range(100):
             p1 = chain_tree(int(rng.integers(1, 8)))
             p2 = chain_tree(int(rng.integers(1, 8)))
-            a, b = crossover(p1, p2, 8, rng)
+            a, b = crossover(p1, p2, 8, int(rng.integers(p1.size)), int(rng.integers(p2.size)))
             assert a.depth <= 8 and b.depth <= 8
 
 
@@ -503,6 +506,83 @@ class TestEvolve:
         assert res.terminated_by is Termination.FITNESS_THRESHOLD
         assert len(res.history) == 1
         assert sum(spawned) == 1
+
+    @pytest.mark.parametrize("population_size", [2, 3, 4])
+    @pytest.mark.parametrize("elitism_count", [0, 1])
+    def test_each_pair_crosses_once_and_keeps_both_children(
+        self, monkeypatch, population_size, elitism_count
+    ):
+        calls, generations = [], []
+        real_crossover, real_breed = gpsr.crossover, gpsr.breed
+
+        def recording_crossover(*args):
+            calls.append(real_crossover(*args))
+            return calls[-1]
+
+        def recording_breed(*args):
+            start = len(calls)
+            offspring = real_breed(*args)
+            generations.append((calls[start:], offspring))
+            return offspring
+
+        monkeypatch.setattr(gpsr, "crossover", recording_crossover)
+        monkeypatch.setattr(gpsr, "breed", recording_breed)
+        cfg = GpConfig(
+            population_size=population_size, generations=4, elitism_count=elitism_count,
+            crossover_prob=1.0, mutation_prob=0.0, init_depth_range=(1, 2), seed=5,
+        )
+        res = evolve(make_data(), "Z", cfg)
+        assert len(generations) == len(res.history) - 1 == 3
+        m = population_size - elitism_count
+        for made, offspring in generations:
+            assert len(offspring) == population_size
+            assert len(made) == m // 2
+            bred = [ind.tree for ind in offspring[elitism_count:]]
+            for k, (child_a, child_b) in enumerate(made):
+                assert bred[2 * k] is child_a and bred[2 * k + 1] is child_b
+
+    def test_entrants_are_drawn_in_blocks(self, monkeypatch):
+        shapes = []
+
+        class RecordingGenerator(np.random.Generator):
+            def integers(self, low, high=None, size=None, *args, **kwargs):
+                if isinstance(size, tuple):
+                    shapes.append(size)
+                return super().integers(low, high, size, *args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", RecordingGenerator)
+        cfg = GpConfig(population_size=3000, tournament_size=3000, generations=2, mutation_prob=0.0)
+        evolve(make_data(n=20), "Z", cfg)
+        rows = ENTRANT_BLOCK // 3000
+        assert shapes == [(rows, 3000)] * (2999 // rows) + [(2999 % rows, 3000)]
+        assert all(r * k <= ENTRANT_BLOCK for r, k in shapes)
+
+    def test_breed_draws_in_the_documented_layout(self):
+        cfg = GpConfig(
+            population_size=41, tournament_size=3, elitism_count=2,
+            crossover_prob=0.6, mutation_prob=0.3, seed=9,
+        )
+        names = ["A", "B"]
+        population = init_population(cfg, names, init_stream(cfg))
+        for i, ind in enumerate(population):
+            ind.fitness = float(i % 7)
+        order, ranks = ranking(population)
+        got = breed(population, order, ranks, cfg, names, np.random.SeedSequence(9).spawn(2)[1])
+
+        # Generation 1's stream draws entrants, pair flags, points, mutation flags.
+        child = np.random.SeedSequence(9).spawn(2)[1]
+        draws = np.random.Generator(np.random.PCG64(child))
+        m = 39
+        trees = [population[min(row, key=ranks.__getitem__)].tree for row in draws.integers(0, 41, (m, 3))]
+        pairs = np.flatnonzero(draws.random(m // 2) < 0.6)
+        points = draws.integers(0, [trees[j].size for k in pairs for j in (2 * k, 2 * k + 1)])
+        for k, a, b in zip(pairs, points[::2], points[1::2]):
+            trees[2 * k], trees[2 * k + 1] = crossover(trees[2 * k], trees[2 * k + 1], 8, a, b)
+        rng = _Pcg64Stream(*child.spawn(1))
+        for j in np.flatnonzero(draws.random(m) < 0.3):
+            trees[j] = mutate(trees[j], names, 8, (-5.0, 5.0), rng)
+        assert 0 < len(pairs) < m // 2
+        assert [ind.tree for ind in got] == [population[i].tree for i in order[:2]] + trees
 
     def test_history_invariants(self):
         data = make_data()

@@ -49,7 +49,6 @@ from ecd.gpsr import (
     MAX_POPULATION,
     PENALTY_MSE,
     Individual,
-    _Pcg64Stream,
     _random_tree,
     crossover,
     fitness,
@@ -166,7 +165,8 @@ def test_json_round_trip(tree):
 def test_crossover_and_mutation_stay_within_max_depth(a, b, slack, seed):
     max_depth = max(a.depth, b.depth) + slack
     rng = np.random.default_rng(seed)
-    for child in crossover(a, b, max_depth, rng) + (mutate(a, VARS, max_depth, (-5.0, 5.0), rng),):
+    children = crossover(a, b, max_depth, int(rng.integers(a.size)), int(rng.integers(b.size)))
+    for child in children + (mutate(a, VARS, max_depth, (-5.0, 5.0), rng),):
         assert ExpressionTree(child.tokens) == child
         assert child.depth <= max_depth
 
@@ -283,20 +283,19 @@ SHAPES = (  # tree sizes 1, 3 and 5
 @given(
     st.lists(st.tuples(st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from(SHAPES)), min_size=1, max_size=30),
     st.integers(1, 9),
+    st.integers(0, 20),
     st.integers(0, 2**32 - 1),
 )
-def test_rank_tournament_picks_the_keyed_min_winner(members, tournament_size, seed):
+def test_rank_tournament_picks_the_keyed_min_winner(members, tournament_size, rows, seed):
     population = [Individual(ExpressionTree(shape), fitness=f) for f, shape in members]
     order, ranks = ranking(population)
-    keyed = _Pcg64Stream(np.random.SeedSequence(seed))
-    ranked = _Pcg64Stream(np.random.SeedSequence(seed))
-    n = len(population)
-    for _ in range(20):
-        # The tournament as it was: the keyed min over the entrants drawn.
-        entrants = [keyed.integers(n) for _ in range(tournament_size)]
-        winner = min(entrants, key=lambda i: (population[i].fitness, population[i].tree.size, i))
-        assert population[order[select(ranks, tournament_size, ranked)]] is population[winner]
-    assert keyed.integers(2**32 - 1) == ranked.integers(2**32 - 1)  # both took the same draws
+    entrants = np.random.default_rng(seed).integers(0, len(population), (rows, tournament_size))
+    best = select(ranks, entrants)
+    assert best == [min(ranks[e] for e in row) for row in entrants.tolist()]
+    for rank, row in zip(best, entrants.tolist()):
+        # The tournament as it was: the keyed min over the row's entrants.
+        winner = min(row, key=lambda i: (population[i].fitness, population[i].tree.size, i))
+        assert population[order[rank]] is population[winner]
 
 
 @PROPERTY
