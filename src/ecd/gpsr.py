@@ -1,17 +1,18 @@
 """Genetic-programming symbolic regression over expression trees.
 
-Each generation keeps its elitism_count best and breeds the rest: each
-offspring slot's parent wins a rank tournament, slots 2k and 2k + 1 pair up
-for a subtree crossover that keeps both children, and each slot may mutate.
-Fitness is MSE plus parsimony over exprcore.evaluate_batch's output.
+The generation is the unit of work. Generation 0 is ramped half-and-half,
+drawn depth by depth. Each later generation keeps its elitism_count best and
+breeds the rest: each offspring slot's parent wins a rank tournament, slots
+2k and 2k + 1 pair up for a subtree crossover that keeps both children, and
+each slot may mutate. A generation's new trees are scored in one fitness
+call: MSE plus parsimony over exprcore.evaluate_batch's output.
 
 All randomness flows from one seed: numpy's SeedSequence spawns one child for
-initialization and one as each breeding generation starts. Initialization
-and mutation draw scalars through _Pcg64Stream, the draws numpy's Generator
-would make, computed from raw PCG64 words. Breeding draws its tournaments,
-pair flags, crossover points and mutation flags as arrays from
-Generator(PCG64(child)), in the order breed lists them. Runs are
-reproducible across platforms and restarts.
+initialization and one as each breeding generation starts, and each child
+seeds a Generator(PCG64(child)) that draws arrays: init_population's trees,
+then breed's tournaments, pair flags, crossover points, mutation flags and
+mutate's plans, in the order their docstrings list them. _random_trees draws
+every random tree. Runs are reproducible across platforms and restarts.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import enum
 import io
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -190,144 +191,123 @@ class FitResult:
     terminated_by: Termination
 
 
-# Raw PCG64 words a stream fetches per numpy call: enough to spread the
-# call's cost thin, few enough that the block a spent stream keeps is small.
-_STREAM_BLOCK = 512
+# Template slots per block of random trees, in whole trees (at least one);
+# each block draws four arrays of one value per slot, so it is part of the draw layout.
+TREE_SLOT_BLOCK = 1 << 16
 
 
-class _Pcg64Stream:
-    """The scalar random(), uniform(lo, hi) and integers(n) of
-    np.random.Generator(np.random.PCG64(seq)), bit for bit, computed in Python
-    from raw PCG64 words without the Generator's per-call overhead.
-
-    random() scales a word's top 53 bits by 2**-53; uniform(lo, hi) is
-    lo + (hi - lo) * random(). integers(n), for 1 <= n < 2**32, is numpy's
-    32-bit Lemire rejection over 32-bit values that are the low and then the
-    high half of one word; the spare half waits across calls, as PCG64's
-    next_uint32 keeps it, and n == 1 draws nothing.
-    """
-
-    __slots__ = ("_bits", "_next_word", "_spare")
-
-    def __init__(self, seq: np.random.SeedSequence):
-        self._bits = np.random.PCG64(seq)
-        self._next_word = iter(()).__next__
-        self._spare = None
-
-    def _refill(self) -> int:
-        """The first word of a new block; the draws call it once the block is spent."""
-        self._next_word = iter(self._bits.random_raw(_STREAM_BLOCK).tolist()).__next__
-        return self._next_word()
-
-    def random(self) -> float:
-        try:
-            word = self._next_word()
-        except StopIteration:
-            word = self._refill()
-        return (word >> 11) * 2**-53
-
-    def uniform(self, lo: float, hi: float) -> float:
-        lo = float(lo)  # numpy takes both bounds as doubles first
-        return lo + (float(hi) - lo) * self.random()
-
-    def integers(self, n: int) -> int:
-        if n == 1:
-            return 0
-        while True:
-            draw = self._spare  # a 32-bit value: a spare high half, else a fresh low half
-            if draw is None:
-                try:
-                    word = self._next_word()
-                except StopIteration:
-                    word = self._refill()
-                draw, self._spare = word & 0xFFFFFFFF, word >> 32
-            else:
-                self._spare = None
-            m = draw * n
-            # Lemire: reject m whose low half is below 2**32 % n, which is
-            # below n, so the modulo is needed only for a low half below n.
-            low = m & 0xFFFFFFFF
-            if low >= n or low >= (0x100000000 - n) % n:
-                return m >> 32
-
-
-# What initialization and mutation draw from: evolve passes a _Pcg64Stream, and
-# other callers may pass a numpy Generator, whose integers(n), random() and
-# uniform(lo, hi) give the same draws.
-Rng = Union[_Pcg64Stream, np.random.Generator]
-
-
-def _random_tree(
-    rng: Rng,
-    variables: Sequence[str],
+def _random_trees(
+    draws: np.random.Generator,
+    full: Sequence[bool],
+    depth: int,
+    stop_from: int,
+    names: Sequence[str],
     constant_range,
-    target_depth: int,
-    min_depth: int,
-    full: bool,
-) -> Tokens:
-    """Preorder tokens of a random tree, emitted in the order they are drawn:
-    a leaf is one integers(len(variables) + 1), plus uniform(*constant_range)
-    when it picks the last slot, a constant; an operator is one
-    integers(len(OPERATORS)). At target_depth 0 the one token is a leaf."""
-    integers, random, uniform = rng.integers, rng.random, rng.uniform
-    n_vars, n_ops = len(variables), len(OPERATORS)
-    lo, hi = constant_range
-    # Grow mode may stop at a leaf from min_depth on; full mode only at target_depth.
-    may_stop = target_depth if full else min_depth
-    tokens = []
-    append = tokens.append
-    pending = [0]  # depths of the operand slots still to fill, next on top
-    pop = pending.pop
-    while pending:
-        level = pop()
-        if level >= target_depth or (level >= may_stop and random() < GROW_TERMINAL_PROB):
-            pick = integers(n_vars + 1)
-            append(uniform(lo, hi) if pick == n_vars else variables[pick])
-        else:
-            append(OPERATORS[integers(n_ops)])
-            level += 1
-            pending += (level, level)
-    return tuple(tokens)
+) -> list[Tokens]:
+    """Preorder tokens of one random tree of target depth per entry of full.
+
+    Each tree fills the preorder template of a full tree of that depth, with
+    2**(depth + 1) - 1 slots. A slot at level depth is a leaf; so is a slot
+    of a grow tree (full false) at a level of at least stop_from whose stop
+    draw is below GROW_TERMINAL_PROB, and the slots under a leaf are dropped.
+    A block of rows trees draws, in this order: integers(0, len(OPERATORS),
+    (rows, slots)) for operators, integers(0, len(names) + 1, (rows, slots))
+    for leaves, the last pick a constant, random((rows, slots)) for stops,
+    and uniform(*constant_range, (rows, slots)) for constants.
+    """
+    n_ops, n_vars = len(OPERATORS), len(names)
+    levels = np.zeros(1, dtype=np.intp)
+    for _ in range(depth):
+        levels = np.concatenate(([0], levels + 1, levels + 1))
+    slots = len(levels)
+    # A slot's children: the next slot, and the one past the left subtree.
+    parents = np.zeros(slots, dtype=np.intp)
+    inner = np.flatnonzero(levels < depth)
+    parents[inner + 1] = inner
+    parents[inner + (1 << (depth - levels[inner]))] = inner
+    by_level = [np.flatnonzero(levels == level) for level in range(1, depth + 1)]
+    table = np.array([*OPERATORS, *names, None], dtype=object)
+    full = np.asarray(full, dtype=bool)
+    rows = max(1, TREE_SLOT_BLOCK // slots)
+    trees: list[Tokens] = []
+    for start in range(0, len(full), rows):
+        block = full[start : start + rows]
+        shape = (len(block), slots)
+        ops = draws.integers(0, n_ops, shape)
+        picks = draws.integers(0, n_vars + 1, shape)
+        stops = draws.random(shape) < GROW_TERMINAL_PROB
+        constants = draws.uniform(*constant_range, shape)
+        leaf = (levels == depth) | (~block[:, None] & (levels >= stop_from) & stops)
+        dropped = np.zeros(shape, dtype=bool)
+        for at in by_level:
+            dropped[:, at] = dropped[:, parents[at]] | leaf[:, parents[at]]
+        kept = ~dropped
+        codes = np.where(leaf, n_ops + picks, ops)[kept]
+        tokens = table[codes]
+        constant = codes == n_ops + n_vars
+        tokens[constant] = constants[kept][constant].tolist()
+        tokens = tokens.tolist()
+        ends = np.cumsum(kept.sum(axis=1)).tolist()
+        trees += [tuple(tokens[a:b]) for a, b in zip([0, *ends], ends)]
+    return trees
 
 
-def init_population(
-    config: GpConfig, variables: Iterable[str], rng: Rng
-) -> list[Individual]:
-    """Ramped half-and-half: depth targets cycle over init_depth_range while
-    full and grow construction alternate."""
+def init_population(config: GpConfig, variables: Iterable[str], draws: np.random.Generator) -> list[Individual]:
+    """Ramped half-and-half: individual i has target depth
+    depths[(i // 2) % len(depths)] over init_depth_range, and is a full tree
+    when i is even, a grow tree when odd. Each depth's trees are drawn in
+    index order by _random_trees, depth by depth from the shallowest."""
     names = sorted(set(variables))
     if not names:
         raise InvalidConfig("at least one variable is required")
     lo, hi = config.init_depth_range
-    depths = list(range(lo, hi + 1))
-    population = []
-    for i in range(config.population_size):
-        target = depths[(i // 2) % len(depths)]
-        tokens = _random_tree(
-            rng, names, config.constant_range, target, lo, full=(i % 2 == 0)
-        )
-        population.append(Individual(ExpressionTree(tokens)))
-    return population
+    depths = range(lo, hi + 1)
+    group = np.arange(config.population_size) // 2 % len(depths)
+    tokens: list[Tokens] = [()] * config.population_size
+    for j, depth in enumerate(depths):
+        members = np.flatnonzero(group == j)
+        drawn = _random_trees(draws, members % 2 == 0, depth, lo, names, config.constant_range)
+        for i, tree in zip(members.tolist(), drawn):
+            tokens[i] = tree
+    return [Individual(ExpressionTree(tree)) for tree in tokens]
+
+
+# Bytes of fitness's residual block, one row per tree and at least one row: enough rows
+# to spread numpy's cost per call, few enough to add little to peak memory.
+SCORE_BLOCK_BYTES = 1 << 18
 
 
 def fitness(
-    tree: ExpressionTree, data: Dataset, response: str, parsimony_coeff: float
-) -> tuple[float, float]:
-    """(fitness, raw_mse) against the response column.
+    trees: Sequence[ExpressionTree], data: Dataset, response: str, parsimony_coeff: float
+) -> list[tuple[float, float]]:
+    """(fitness, raw_mse) of each tree against the response column, in order.
 
-    Overflowing or otherwise non-finite predictions are clamped to PENALTY_MSE
-    so every fitness stays finite and comparable.
+    Each tree's predictions fill one row of a block of SCORE_BLOCK_BYTES;
+    the block's residuals are squared and summed per row in place, the same
+    sum np.mean would take of one tree's. Overflowing or otherwise non-finite
+    MSEs are clamped to PENALTY_MSE so every fitness stays finite and
+    comparable.
     """
     if data.n_rows == 0:
         raise EmptyDataset("cannot score against an empty dataset")
+    y, n = data.column(response), data.n_rows
+    rows = max(1, SCORE_BLOCK_BYTES // (8 * n))
+    block = np.empty((min(len(trees), rows), n))
+    scores = []
     # An overflow (inf) or inf - inf (nan) here meets the clamp below.
     with np.errstate(all="ignore"):
-        residuals = evaluate_batch(tree, data) - data.column(response)
-        # np.mean's own sum and division, without its Python-level wrapper.
-        raw_mse = float(np.add.reduce(residuals * residuals)) / len(residuals)
-    if not math.isfinite(raw_mse):
-        raw_mse = PENALTY_MSE
-    return raw_mse + parsimony_coeff * tree.size, raw_mse
+        for start in range(0, len(trees), rows):
+            chunk = trees[start : start + rows]
+            residuals = block[: len(chunk)]
+            for row, tree in zip(residuals, chunk):
+                row[:] = evaluate_batch(tree, data)
+            residuals -= y
+            residuals *= residuals
+            for tree, raw_mse in zip(chunk, (np.add.reduce(residuals, axis=1) / n).tolist()):
+                if not math.isfinite(raw_mse):
+                    raw_mse = PENALTY_MSE
+                scores.append((raw_mse + parsimony_coeff * tree.size, raw_mse))
+    return scores
 
 
 def ranking(population: Sequence[Individual]) -> tuple[list[int], list[int]]:
@@ -372,41 +352,62 @@ def crossover(
     )
 
 
-def _point_mutation(
-    tree: ExpressionTree, variables: Sequence[str], constant_range, rng: Rng
-) -> ExpressionTree:
-    """Swap one token for another of the same kind; operands stay in place."""
-    idx = rng.integers(tree.size)
-    token = tree.tokens[idx]
-    if isinstance(token, Operator):
-        alternatives = [op for op in OPERATORS if op is not token]
-        token = alternatives[rng.integers(len(alternatives))]
+def _point_mutation(tree: ExpressionTree, point: int, alternative: int, leaf: Tokens) -> ExpressionTree:
+    """Swap the token at point for another of its kind: an operator for the
+    alternative-th of the other operators, a leaf for leaf's one token."""
+    token = tree.tokens[point]
+    if token.__class__ is Operator:
+        token = [op for op in OPERATORS if op is not token][alternative]
     else:
-        (token,) = _random_tree(rng, variables, constant_range, 0, 0, full=True)
-    return ExpressionTree(tree.tokens[:idx] + (token,) + tree.tokens[idx + 1 :])
+        (token,) = leaf
+    return ExpressionTree(tree.tokens[:point] + (token,) + tree.tokens[point + 1 :])
+
+
+# Subtree replacements a mutation tries before it falls back to point mutation.
+SUBTREE_TRIES = 10
 
 
 def mutate(
-    tree: ExpressionTree,
+    trees: Sequence[ExpressionTree],
     variables: Sequence[str],
     max_depth: int,
     constant_range,
-    rng: Rng,
-) -> ExpressionTree:
-    """Half the time replace a subtree with a fresh grow tree of depth <= 2,
-    otherwise point-mutate one node. max_depth is always respected; subtree
-    replacement falls back to point mutation after 10 oversized attempts."""
+    draws: np.random.Generator,
+) -> list[ExpressionTree]:
+    """Each tree mutated once, by a plan drawn from draws as arrays.
+
+    random(len(trees)) < 0.5 picks subtree replacement. Then, in rounds of
+    at most SUBTREE_TRIES, the trees whose replacement is still pending draw
+    integers(0, sizes) for their points and one depth-2 grow tree each, whose
+    root may already be a leaf; a child within max_depth is kept. The rest,
+    in order, are point-mutated: integers(0, sizes) for the points,
+    integers(0, len(OPERATORS) - 1, count) for the operators, and one
+    depth-0 tree each for the leaves.
+    """
     names = sorted(set(variables))
-    if rng.random() < 0.5:
-        for _ in range(10):
-            idx = rng.integers(tree.size)
-            fresh = _random_tree(
-                rng, names, constant_range, target_depth=2, min_depth=0, full=False
-            )
-            tokens = replace_at(tree, idx, fresh)
+    mutants = list(trees)
+    subtree = draws.random(len(trees)) < 0.5
+    pending = np.flatnonzero(subtree).tolist()
+    for _ in range(SUBTREE_TRIES):
+        if not pending:
+            break
+        points = draws.integers(0, [mutants[j].size for j in pending]).tolist()
+        fresh = _random_trees(draws, [False] * len(pending), 2, 0, names, constant_range)
+        oversized = []
+        for j, point, replacement in zip(pending, points, fresh):
+            tokens = replace_at(mutants[j], point, replacement)
             if node_depth(tokens) <= max_depth:
-                return ExpressionTree(tokens)
-    return _point_mutation(tree, names, constant_range, rng)
+                mutants[j] = ExpressionTree(tokens)
+            else:
+                oversized.append(j)
+        pending = oversized
+    pointwise = sorted(np.flatnonzero(~subtree).tolist() + pending)
+    points = draws.integers(0, [mutants[j].size for j in pointwise]).tolist()
+    alternatives = draws.integers(0, len(OPERATORS) - 1, len(pointwise)).tolist()
+    leaves = _random_trees(draws, [True] * len(pointwise), 0, 0, names, constant_range)
+    for j, point, alternative, leaf in zip(pointwise, points, alternatives, leaves):
+        mutants[j] = _point_mutation(mutants[j], point, alternative, leaf)
+    return mutants
 
 
 def diversity(population: Sequence[Individual]) -> float:
@@ -435,8 +436,7 @@ def breed(
     seq: np.random.SeedSequence,
 ) -> list[Individual]:
     """The next generation: the elitism_count best, then m offspring bred
-    from Generator(PCG64(seq))'s draws in the order below; mutation draws
-    from _Pcg64Stream(seq's first child)."""
+    from Generator(PCG64(seq))'s draws in the order below, mutate's last."""
     draws = np.random.Generator(np.random.PCG64(seq))
     m, k = config.population_size - config.elitism_count, config.tournament_size
     rows = max(1, ENTRANT_BLOCK // k)
@@ -453,9 +453,10 @@ def breed(
         a, b = 2 * pair, 2 * pair + 1
         trees[a], trees[b] = crossover(trees[a], trees[b], config.max_depth, point_a, point_b)
 
-    rng = _Pcg64Stream(*seq.spawn(1))
-    for slot in np.flatnonzero(draws.random(m) < config.mutation_prob).tolist():
-        trees[slot] = mutate(trees[slot], variables, config.max_depth, config.constant_range, rng)
+    slots = np.flatnonzero(draws.random(m) < config.mutation_prob).tolist()
+    mutants = mutate([trees[slot] for slot in slots], variables, config.max_depth, config.constant_range, draws)
+    for slot, tree in zip(slots, mutants):
+        trees[slot] = tree
     return [population[i] for i in order[: config.elitism_count]] + [Individual(t) for t in trees]
 
 
@@ -477,19 +478,13 @@ def evolve(data: Dataset, response: str, config: GpConfig) -> FitResult:
     # spawn(1) numbers its children in order: child 0 seeds initialization,
     # child t breeds generation t, spawned only when that generation starts.
     seeds = np.random.SeedSequence(config.seed)
-    population = init_population(config, variables, _Pcg64Stream(*seeds.spawn(1)))
+    population = init_population(config, variables, np.random.Generator(np.random.PCG64(*seeds.spawn(1))))
 
     # Keyed by token tuple: equal tuples are equal trees, and constants are
-    # floats only, so no two distinct trees share a key. Every individual is
-    # scored through it, so an unchanged copy of a parent reads its entry.
+    # floats only, so no two distinct trees share a key. Each generation
+    # scores its distinct uncached trees in one fitness call, in population
+    # order, so an unchanged copy of a parent reads its entry.
     cache: dict[tuple, tuple[float, float]] = {}
-
-    def score(ind: Individual) -> None:
-        key = ind.tree.tokens
-        hit = cache.get(key)
-        if hit is None:
-            hit = cache[key] = fitness(ind.tree, data, response, config.parsimony_coeff)
-        ind.fitness, ind.raw_mse = hit
 
     best: Individual | None = None
     history: list[GenerationStats] = []
@@ -497,8 +492,10 @@ def evolve(data: Dataset, response: str, config: GpConfig) -> FitResult:
     flat_generations = 0
 
     for generation in range(config.generations):
+        fresh = {ind.tree.tokens: ind.tree for ind in population if ind.tree.tokens not in cache}
+        cache.update(zip(fresh, fitness(list(fresh.values()), data, response, config.parsimony_coeff)))
         for ind in population:
-            score(ind)
+            ind.fitness, ind.raw_mse = cache[ind.tree.tokens]
 
         order, ranks = ranking(population)
         gen_best = population[order[0]]

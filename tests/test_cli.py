@@ -1237,23 +1237,23 @@ def test_filter_on_an_unselected_column_is_refused_before_the_csv_loads(tmp_path
 # model. Any change to the random stream, the tree encoding, evaluation or the
 # artifact writers shows here; a deliberate change re-records these hashes.
 GOLDEN_SHA256 = {
-    "fit/model.json": "4138925cb29f75073c7ef4269e6a8eed492715bead91647bbdbf4dd77a8723c3",
-    "fit/history.csv": "da968c2363919faba2ed0cdd54603401cbd8f1f0b744651a1670143b45675b66",
-    "fit/best_tree.dot": "347d87c468d82d28e7233f668a153b521160db7d7daa7091cd7a82a21cd8d74e",
-    "ris/impact_table.json": "cbe3136bc071d8555b68bcf7fd05017093e133a253157b478bf6c11c5a11504d",
-    "ris/impact_D_Q2.dot": "bdbec6b84cea890868436ed7403d4b4ae5692a13611a39d89fba598ebbaf0bdf",
-    "simp/simplified_model.json": "fc7748c74139c62ad3ee5dacbdd2da4475a6607d5de4c14c7c9f9338dc21b305",
-    "simp/simplified_tree.dot": "ef8b550ee2c3d6c92639e67503f3a9ac2b9369aa0ba1a8fc3e350f720c13bc0a",
-    "cf/counterfactual.txt": "507d11ef21ad2102d03872eea14dfbe5031fef8b02576d6b3c1937b9b4737495",
-    "cf/counterfactual.json": "3c6216d3db2738483b1b0701524a2cf0ea8776e0c74d5ed8f59f7452ddb69aa0",
-    "cf/counterfactual.dot": "98d97873dca2a3b8af3b69f8092a80ac87c59625ec4bde1da80c7006993bcb45",
+    "fit/model.json": "3da126ad85c36716a0e81669df8f7242c20a76393e50449db36b97e4c5571931",
+    "fit/history.csv": "c4289126f90f36763444c30a443337fa67a903ccb0baa3b21a0e7da89ff46d09",
+    "fit/best_tree.dot": "8c62bad81b56f5a5432a1238cbb3fa13bc28ef8487b151168d306b549486f90b",
+    "ris/impact_table.json": "13aa4aa201801d51301a2d8e36024fe51a06817991a5f75d34ac3c264890f183",
+    "ris/impact_D_Q2.dot": "de289d63c27750a0359d5556f204e73fbe9083116c7f23c42f4eae2cd81f2107",
+    "simp/simplified_model.json": "fe6078fe5ea33dab58863652b628fdbae958143c7bd283f2480e7464e080593a",
+    "simp/simplified_tree.dot": "3f2b2ea8b8fbb0b410446214234c1663654793bdf125d8330e4014610625e755",
+    "cf/counterfactual.txt": "2e1de24bf4cd6b5096f2af96f15b5fc7d7677aef3cf00283f6897cec521a0f4d",
+    "cf/counterfactual.json": "b467228deb969b0e053db05d276804986142f0a6bb3fdc98fea718a3eaedc899",
+    "cf/counterfactual.dot": "7d5814747d1f9feeacd9c3a9891a9bde8878f916dc6b34e180c3f40ec5e86c39",
 }
 
 
 def test_golden_artifacts(tmp_path):
     cfg = tmp_path / "gp.json"
     write_config(cfg, {"gp": {"population_size": 60, "generations": 5}})
-    data = ["--synth", "--n", "60", "--noise", "0.1", "--seed", "8"]
+    data = ["--synth", "--n", "60", "--noise", "0.1", "--seed", "17"]
     model = str(tmp_path / "fit" / "model.json")
     assert main(["fit", *data, "--config", str(cfg), "--out", str(tmp_path / "fit")]) == 0
     assert main(["ris", "--model", model, *data, "--out", str(tmp_path / "ris")]) == 0

@@ -1,12 +1,14 @@
 import csv
 import json
 import math
-import random
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ecd import gpsr
 from ecd.dataio import Dataset
@@ -15,18 +17,22 @@ from ecd.errors import (
     EmptyPopulation,
     InvalidConfig,
     MalformedTree,
+    MissingColumn,
     MissingVariable,
 )
 from ecd.exprcore import (
+    OPERATORS,
     ExpressionTree,
     Operator,
     const_node,
+    evaluate_batch,
     node_depth,
     op_node,
     var_node,
 )
 from ecd.gpsr import (
     ENTRANT_BLOCK,
+    GROW_TERMINAL_PROB,
     HISTORY_COLUMNS,
     MAX_DEPTH,
     MAX_GENERATIONS,
@@ -34,10 +40,10 @@ from ecd.gpsr import (
     MAX_POPULATION,
     PENALTY_MSE,
     PRESETS,
+    SUBTREE_TRIES,
     GpConfig,
     Individual,
     Termination,
-    _Pcg64Stream,
     _point_mutation,
     breed,
     crossover,
@@ -56,71 +62,78 @@ from ecd.gpsr import (
 from ecd.synthbench import holdout_data
 
 
-def init_stream(cfg):
-    """The stream evolve initializes with: SeedSequence(seed)'s first child."""
-    return _Pcg64Stream(*np.random.SeedSequence(cfg.seed).spawn(1))
+def init_draws(cfg):
+    """The Generator evolve initializes with: PCG64 of SeedSequence(seed)'s first child."""
+    return np.random.Generator(np.random.PCG64(*np.random.SeedSequence(cfg.seed).spawn(1)))
 
 
-class StubRng:
-    """Scripted stand-in for the draws breeding takes, for forcing rare branches."""
+def layout_trees(draws, full, depth, stop_from, names, constant_range):
+    """Random trees rebuilt from the README's layout: each block of template
+    slots draws operators, leaf picks, stops and constants, and each tree
+    walks its full template in preorder, skipping what lies under a leaf."""
+    slots = 2 ** (depth + 1) - 1
+    rows = max(1, gpsr.TREE_SLOT_BLOCK // slots)
+    trees = []
+    for start in range(0, len(full), rows):
+        block = full[start : start + rows]
+        shape = (len(block), slots)
+        ops = draws.integers(0, len(OPERATORS), shape)
+        picks = draws.integers(0, len(names) + 1, shape)
+        stops = draws.random(shape)
+        constants = draws.uniform(*constant_range, shape)
+        for r, is_full in enumerate(block):
+            tokens = []
 
-    def __init__(self, randoms=(), integers=(), uniforms=()):
-        self.randoms = list(randoms)
-        self.ints = list(integers)
-        self.uniforms = list(uniforms)
-
-    def random(self):
-        return self.randoms.pop(0)
-
-    def integers(self, n):
-        return self.ints.pop(0)
-
-    def uniform(self, low, high):
-        return self.uniforms.pop(0)
-
-
-# integers(n) bounds: n == 1 draws nothing, 2**31 + 1 and 3 * 2**30 reject
-# about half and a quarter of their 32-bit draws, 2**32 - 1 is the largest.
-STREAM_BOUNDS = (1, 2, 3, 2000, 2**31 + 1, 3 * 2**30, 2**32 - 1)
-
-
-class TestPcg64Stream:
-    def test_matches_numpy_generator_draw_for_draw(self):
-        for seed in range(12):
-            seq = np.random.SeedSequence(seed)
-            stream = _Pcg64Stream(seq)
-            numpy_rng = np.random.Generator(np.random.PCG64(seq))
-            script = random.Random(seed)
-            # 3,000 draws take more than one block of raw words.
-            for _ in range(3000):
-                kind = script.randrange(3)
-                if kind == 0:
-                    assert stream.random().hex() == numpy_rng.random().hex()
-                elif kind == 1:
-                    lo = script.uniform(-10.0, 10.0)
-                    hi = lo + script.choice((0.0, 1e-3, 7.5, 1e6))
-                    assert stream.uniform(lo, hi).hex() == numpy_rng.uniform(lo, hi).hex()
+            def walk(slot, level):
+                grow_stop = not is_full and level >= stop_from and stops[r, slot] < GROW_TERMINAL_PROB
+                if level == depth or grow_stop:
+                    pick = picks[r, slot]
+                    tokens.append(float(constants[r, slot]) if pick == len(names) else names[pick])
                 else:
-                    n = script.choice(STREAM_BOUNDS)
-                    got = stream.integers(n)
-                    assert type(got) is int
-                    assert got == numpy_rng.integers(n)
+                    tokens.append(OPERATORS[ops[r, slot]])
+                    walk(slot + 1, level + 1)
+                    walk(slot + 2 ** (depth - level), level + 1)
 
-    def test_recorded_draws(self):
-        # Fixed from PCG64's raw words alone; this list must not move when
-        # numpy's Generator changes how it samples.
-        stream = _Pcg64Stream(np.random.SeedSequence(20240501))
-        assert stream.random().hex() == "0x1.139b80bfe2ad2p-2"
-        assert stream.integers(7) == 2
-        assert stream.uniform(-5.0, 5.0).hex() == "-0x1.332b12cc00688p+2"
-        assert stream.integers(2**31 + 1) == 368501858
-        assert stream.integers(1) == 0
-        assert stream.integers(3) == 0
-        assert stream.random().hex() == "0x1.5576968847bc8p-2"
-        assert stream.integers(2**32 - 1) == 1072621898
-        assert stream.integers(3 * 2**30) == 1207088782
-        assert stream.uniform(0.5, 2.0).hex() == "0x1.19d8336736a5ap+0"
-        assert stream.integers(2000) == 406
+            walk(0, 0)
+            trees.append(tuple(tokens))
+    return trees
+
+
+def layout_mutants(trees, names, max_depth, constant_range, draws, outcomes):
+    """mutate rebuilt from the README's layout; counts each outcome kind."""
+    mutants = list(trees)
+    subtree = draws.random(len(trees)) < 0.5
+    pending = [j for j in range(len(trees)) if subtree[j]]
+    for _ in range(SUBTREE_TRIES):
+        if not pending:
+            break
+        points = draws.integers(0, [mutants[j].size for j in pending])
+        fresh = layout_trees(draws, [False] * len(pending), 2, 0, names, constant_range)
+        oversized = []
+        for j, point, replacement in zip(pending, points, fresh):
+            tokens = mutants[j].tokens
+            child = ExpressionTree(tokens[:point] + replacement + tokens[mutants[j].ends[point] :])
+            if child.depth <= max_depth:
+                mutants[j] = child
+                outcomes["subtree"] += 1
+            else:
+                outcomes["retry"] += 1
+                oversized.append(j)
+        pending = oversized
+    outcomes["fallback"] += len(pending)
+    pointwise = sorted([j for j in range(len(trees)) if not subtree[j]] + pending)
+    points = draws.integers(0, [mutants[j].size for j in pointwise])
+    alternatives = draws.integers(0, len(OPERATORS) - 1, len(pointwise))
+    leaves = layout_trees(draws, [True] * len(pointwise), 0, 0, names, constant_range)
+    for j, point, alternative, (leaf,) in zip(pointwise, points, alternatives, leaves):
+        tokens = list(mutants[j].tokens)
+        if isinstance(tokens[point], Operator):
+            tokens[point] = [op for op in OPERATORS if op is not tokens[point]][alternative]
+        else:
+            tokens[point] = leaf
+        mutants[j] = ExpressionTree(tuple(tokens))
+        outcomes["point"] += 1
+    return mutants
 
 
 def make_data(seed=7, n=80):
@@ -202,7 +215,7 @@ class TestGpConfig:
 class TestInitPopulation:
     def test_size_and_depth_bounds(self):
         cfg = GpConfig(population_size=10, init_depth_range=(2, 5))
-        pop = init_population(cfg, {"A"}, init_stream(cfg))
+        pop = init_population(cfg, {"A"}, init_draws(cfg))
         assert len(pop) == 10
         for ind in pop:
             assert 2 <= node_depth(ind.tree.tokens) <= 5
@@ -210,19 +223,19 @@ class TestInitPopulation:
 
     def test_deterministic(self):
         cfg = GpConfig(population_size=30, seed=5)
-        a = init_population(cfg, {"A", "B"}, init_stream(cfg))
-        b = init_population(cfg, {"B", "A"}, init_stream(cfg))
+        a = init_population(cfg, {"A", "B"}, init_draws(cfg))
+        b = init_population(cfg, {"B", "A"}, init_draws(cfg))
         assert [i.tree.infix for i in a] == [i.tree.infix for i in b]
 
     def test_depth_one_range(self):
         cfg = GpConfig(population_size=12, init_depth_range=(1, 1), seed=3)
-        pop = init_population(cfg, {"A"}, init_stream(cfg))
+        pop = init_population(cfg, {"A"}, init_draws(cfg))
         for ind in pop:
             assert node_depth(ind.tree.tokens) == 1
 
     def test_constants_within_range(self):
         cfg = GpConfig(population_size=60, constant_range=(-2.0, 2.0), seed=1)
-        pop = init_population(cfg, {"A"}, init_stream(cfg))
+        pop = init_population(cfg, {"A"}, init_draws(cfg))
         seen = 0
         for ind in pop:
             for token in ind.tree.tokens:
@@ -234,20 +247,70 @@ class TestInitPopulation:
     def test_needs_variables(self):
         cfg = GpConfig(population_size=4)
         with pytest.raises(InvalidConfig):
-            init_population(cfg, set(), init_stream(cfg))
+            init_population(cfg, set(), init_draws(cfg))
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        population_size=st.integers(2, 40),
+        lo=st.integers(1, 4),
+        span=st.integers(0, 4),
+        n_vars=st.integers(1, 3),
+        constant_range=st.sampled_from([(-5.0, 5.0), (0.25, 0.5), (-1e300, 1e300), (2.0, 2.0)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # Fewer individuals than 2 x the 7 depths: most depth groups are empty.
+    @example(population_size=3, lo=2, span=6, n_vars=2, constant_range=(-5.0, 5.0), seed=1)
+    def test_ramped_half_and_half(self, population_size, lo, span, n_vars, constant_range, seed):
+        depths = range(lo, lo + span + 1)
+        cfg = GpConfig(
+            population_size=population_size, init_depth_range=(lo, depths[-1]),
+            max_depth=max(8, depths[-1]), constant_range=constant_range,
+        )
+        names = ["A", "B", "C"][:n_vars]
+        pop = init_population(cfg, names, np.random.default_rng(seed))
+        assert len(pop) == population_size
+        for i, ind in enumerate(pop):
+            target, tree = depths[(i // 2) % len(depths)], ind.tree
+            if i % 2 == 0:
+                assert (tree.depth, tree.size) == (target, 2 ** (target + 1) - 1)
+            else:
+                assert lo <= tree.depth <= target
+            for token in tree.tokens:
+                if isinstance(token, float):
+                    assert constant_range[0] <= token <= constant_range[1]
+                else:
+                    assert isinstance(token, Operator) or token in names
+            assert ind.fitness is None
+        again = init_population(cfg, names, np.random.default_rng(seed))
+        assert [ind.tree for ind in again] == [ind.tree for ind in pop]
+
+    @pytest.mark.parametrize("block", [gpsr.TREE_SLOT_BLOCK, 40])
+    def test_generation_0_follows_the_documented_layout(self, monkeypatch, block):
+        # At 40 slots a block holds five depth-2 trees and one depth-5 tree.
+        monkeypatch.setattr(gpsr, "TREE_SLOT_BLOCK", block)
+        cfg = GpConfig(population_size=37, init_depth_range=(2, 5), constant_range=(-2.0, 3.0), seed=4)
+        names = ["A", "B", "C"]
+        got = init_population(cfg, names, init_draws(cfg))
+        draws, expected = init_draws(cfg), [None] * 37
+        for j, depth in enumerate(range(2, 6)):
+            members = [i for i in range(37) if (i // 2) % 4 == j]
+            full = [i % 2 == 0 for i in members]
+            for i, tokens in zip(members, layout_trees(draws, full, depth, 2, names, (-2.0, 3.0))):
+                expected[i] = tokens
+        assert [ind.tree.tokens for ind in got] == expected
 
 
 class TestFitness:
     def test_exact_reproduction(self):
         data = make_data()
         tree = ExpressionTree(op_node(Operator.ADD, var_node("A"), var_node("B")))
-        fit, raw = fitness(tree, data, "Z", 0.0)
+        ((fit, raw),) = fitness([tree], data, "Z", 0.0)
         assert (fit, raw) == (0.0, 0.0)
 
     def test_known_mse(self):
         data = Dataset({"A": [0.0, 0.0], "Z": [1.0, 1.0]})
         tree = ExpressionTree(var_node("A"))
-        fit, raw = fitness(tree, data, "Z", 0.0)
+        ((fit, raw),) = fitness([tree], data, "Z", 0.0)
         assert (fit, raw) == (1.0, 1.0)
 
     def test_parsimony_term(self):
@@ -256,14 +319,14 @@ class TestFitness:
             op_node(Operator.ADD, var_node("A"), op_node(Operator.MUL, var_node("B"), const_node(1)))
         )
         assert tree.size == 5
-        fit, raw = fitness(tree, data, "Z", 0.001)
+        ((fit, raw),) = fitness([tree], data, "Z", 0.001)
         assert fit == raw + 0.001 * 5
 
     def test_overflow_clamped(self):
         data = Dataset({"A": [1.0, 2.0], "Z": [0.0, 0.0]})
         huge = const_node(1e200)
         tree = ExpressionTree(op_node(Operator.MUL, huge, huge))
-        fit, raw = fitness(tree, data, "Z", 0.001)
+        ((fit, raw),) = fitness([tree], data, "Z", 0.001)
         assert raw == PENALTY_MSE
         assert math.isfinite(fit)
         # Finite predictions whose squared residuals overflow, and an inf - inf
@@ -271,10 +334,10 @@ class TestFitness:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for a, z in (([1e160, 2e160], [0.0, 0.0]), ([1e308, 1.0], [-1e308, 1.0])):
-                fit, raw = fitness(ExpressionTree(var_node("A")), Dataset({"A": a, "Z": z}), "Z", 0.0)
+                ((fit, raw),) = fitness([ExpressionTree(var_node("A"))], Dataset({"A": a, "Z": z}), "Z", 0.0)
                 assert (fit, raw) == (PENALTY_MSE, PENALTY_MSE)
             inf = Dataset({"A": [math.inf, 1.0], "Z": [math.inf, 1.0]})
-            assert fitness(ExpressionTree(var_node("A")), inf, "Z", 0.0)[1] == PENALTY_MSE
+            assert fitness([ExpressionTree(var_node("A"))], inf, "Z", 0.0)[0][1] == PENALTY_MSE
 
     @pytest.mark.parametrize(
         "value, bits",
@@ -287,16 +350,46 @@ class TestFitness:
     def test_constant_tree_recorded_bits(self, value, bits):
         # A constant tree is scored as one value per row; recorded when its
         # float was subtracted from the response column directly.
-        fit, raw = fitness(ExpressionTree(const_node(value)), holdout_data(), "Z", 0.001)
+        ((fit, raw),) = fitness([ExpressionTree(const_node(value))], holdout_data(), "Z", 0.001)
         assert (fit.hex(), raw.hex()) == bits
 
     def test_errors(self):
         empty = Dataset({"A": np.array([]), "Z": np.array([])})
         tree = ExpressionTree(var_node("A"))
-        with pytest.raises(EmptyDataset):
-            fitness(tree, empty, "Z", 0.0)
+        assert fitness([], make_data(), "Z", 0.0) == []
+        for trees in ([], [tree]):
+            with pytest.raises(EmptyDataset):
+                fitness(trees, empty, "Z", 0.0)
+            with pytest.raises(MissingColumn):
+                fitness(trees, make_data(), "Q", 0.0)
         with pytest.raises(MissingVariable):
-            fitness(ExpressionTree(var_node("Q")), make_data(), "Z", 0.0)
+            fitness([tree, ExpressionTree(var_node("Q"))], make_data(), "Z", 0.0)
+
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    def test_matches_the_per_tree_formula_across_blocks(self, monkeypatch, rows):
+        data = make_data(n=50)
+        monkeypatch.setattr(gpsr, "SCORE_BLOCK_BYTES", rows * 8 * data.n_rows)
+        cfg = GpConfig(population_size=20, seed=3)
+        trees = [ind.tree for ind in init_population(cfg, ["A", "B"], init_draws(cfg))]
+        huge = const_node(1e200)
+        trees += [
+            ExpressionTree(const_node(-0.5)),  # a constant, broadcast by evaluate_batch
+            ExpressionTree(op_node(Operator.MUL, huge, op_node(Operator.ADD, var_node("A"), huge))),
+            ExpressionTree(var_node("B")),  # the data column itself
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fitness(trees, data, "Z", 0.001)
+        assert len(got) == len(trees) == 23
+        for tree, (fit, raw) in zip(trees, got):
+            # One tree as fitness scored it before blocks: np.mean's sum and division.
+            with np.errstate(all="ignore"):
+                residuals = evaluate_batch(tree, data) - data.column("Z")
+                expected = float(np.add.reduce(residuals * residuals)) / len(residuals)
+            if not math.isfinite(expected):
+                expected = PENALTY_MSE
+            assert (fit.hex(), raw.hex()) == ((expected + 0.001 * tree.size).hex(), expected.hex())
+        assert got[-2][1] == PENALTY_MSE
 
 
 class TestSelect:
@@ -375,61 +468,53 @@ class TestCrossover:
 class TestMutate:
     def test_point_mutation_keeps_leaf_a_leaf(self):
         tree = ExpressionTree(const_node(3))
-        # random() >= .5 -> point branch; leaf draw picks variable index 0
-        got = mutate(tree, ["A"], 8, (-5.0, 5.0), StubRng(randoms=[0.9], integers=[0, 0]))
+        got = _point_mutation(tree, 0, 0, ("A",))
         assert got.depth == 0
         assert got.infix == "A"
 
     def test_point_mutation_swaps_operator(self):
         tree = ExpressionTree(op_node(Operator.ADD, var_node("A"), var_node("B")))
-        got = mutate(tree, ["A", "B"], 8, (-5.0, 5.0), StubRng(randoms=[0.9], integers=[0, 0]))
+        got = _point_mutation(tree, 0, 0, ("A",))
         # alternatives to ADD in declaration order: SUB, MUL, PDIV; index 0 -> SUB
         assert got.infix == "(A - B)"
 
     def test_depth_always_respected(self, rng):
         tree = chain_tree(4)
-        for _ in range(200):
-            got = mutate(tree, ["A", "B"], 4, (-5.0, 5.0), rng)
-            assert got.depth <= 4
+        got = mutate([tree] * 200, ["A", "B"], 4, (-5.0, 5.0), rng)
+        assert len(got) == 200
+        assert all(child.depth <= 4 for child in got)
 
-    def test_subtree_mode_inserts_shallow_subtree(self):
-        tree = ExpressionTree(op_node(Operator.ADD, var_node("A"), var_node("B")))
-        # random() < .5 -> subtree branch at node 2 (leaf B); grow draws:
-        # level0 terminal check fails (0.9), op pick, then two leaves
-        stub = StubRng(
-            randoms=[0.1, 0.9, 0.1, 0.1],
-            integers=[2, 0, 0, 1],
-        )
-        got = mutate(tree, ["A", "B"], 8, (-5.0, 5.0), stub)
-        assert got.infix == "(A + (A + B))"
+    def test_subtree_mode_inserts_shallow_subtree(self, rng):
+        # Each mutant is its tree with one subtree swapped for a grow tree of
+        # depth <= 2 (a leaf's point mutation is one too), or with one
+        # operator swapped for another.
+        tree = ExpressionTree(op_node(Operator.ADD, chain_tree(2).tokens, var_node("C")))
 
-    @staticmethod
-    def old_random_leaf(rng, variables, constant_range):
-        # The leaf draw point mutation made before it drew through _random_tree.
-        pick = rng.integers(len(variables) + 1)
-        if pick == len(variables):
-            return rng.uniform(*constant_range)
-        return variables[pick]
+        def replaces_a_subtree(child):
+            for i, end in enumerate(tree.ends):
+                tail = child.size - (tree.size - end)
+                if child.tokens[:i] == tree.tokens[:i] and child.tokens[tail:] == tree.tokens[end:]:
+                    try:
+                        if ExpressionTree(child.tokens[i:tail]).depth <= 2:
+                            return True
+                    except MalformedTree:
+                        pass
+            return False
 
-    @pytest.mark.parametrize("make_rng", [
-        np.random.default_rng,
-        lambda seed: _Pcg64Stream(np.random.SeedSequence(seed)),
-    ])
-    def test_point_mutation_draws_a_leaf_as_random_leaf_did(self, make_rng):
-        constants = 0
-        for seed in range(300):
-            variables = ["A", "B", "C"][: 1 + seed % 3]
-            constant_range = (-5.0, 5.0) if seed % 2 else (0.25, 0.5)
-            new, old = make_rng(seed), make_rng(seed)
-            # A one-leaf tree: the node index draw, integers(1), draws nothing.
-            got = _point_mutation(ExpressionTree(const_node(1.5)), variables, constant_range, new)
-            expected = self.old_random_leaf(old, variables, constant_range)
-            assert got.tokens == (expected,) and type(got.tokens[0]) is type(expected)
-            constants += isinstance(expected, float)
-            # Both took the same draws, so the streams go on alike.
-            assert new.random() == old.random()
-            assert new.integers(2**32 - 1) == old.integers(2**32 - 1)
-        assert 50 < constants < 250
+        kinds = Counter()
+        for child in mutate([tree] * 300, ["A", "B", "C"], 8, (-5.0, 5.0), rng):
+            if replaces_a_subtree(child):
+                kinds["subtree"] += 1
+            else:
+                (point,) = [i for i, (a, b) in enumerate(zip(tree.tokens, child.tokens)) if a != b]
+                assert child.size == tree.size and isinstance(child.tokens[point], Operator)
+                kinds["operator"] += 1
+        assert kinds["subtree"] > 100 and kinds["operator"] > 20
+
+    def test_mutates_nothing_when_given_nothing(self, rng):
+        state = rng.bit_generator.state
+        assert mutate([], ["A"], 8, (-5.0, 5.0), rng) == []
+        assert rng.bit_generator.state == state
 
 
 class TestDiversity:
@@ -546,7 +631,7 @@ class TestEvolve:
 
         class RecordingGenerator(np.random.Generator):
             def integers(self, low, high=None, size=None, *args, **kwargs):
-                if isinstance(size, tuple):
+                if isinstance(size, tuple) and size[1] == 3000:  # not a tree template's slots
                     shapes.append(size)
                 return super().integers(low, high, size, *args, **kwargs)
 
@@ -557,32 +642,83 @@ class TestEvolve:
         assert shapes == [(rows, 3000)] * (2999 // rows) + [(2999 % rows, 3000)]
         assert all(r * k <= ENTRANT_BLOCK for r, k in shapes)
 
+    LAYOUT_CONFIG = GpConfig(
+        population_size=41, tournament_size=3, elitism_count=2,
+        crossover_prob=0.6, mutation_prob=0.3, seed=9,
+    )
+
     def test_breed_draws_in_the_documented_layout(self):
-        cfg = GpConfig(
-            population_size=41, tournament_size=3, elitism_count=2,
-            crossover_prob=0.6, mutation_prob=0.3, seed=9,
+        outcomes = self.check_breed_layout(self.LAYOUT_CONFIG)
+        assert outcomes["subtree"] > 0 and outcomes["point"] > 0
+
+    def test_mutation_retries_and_falls_back_in_the_documented_layout(self):
+        # Every slot mutates, and at max_depth 1 a depth-2 replacement often
+        # does not fit, so some trees retry and some fall back to point mutation.
+        cfg = replace(
+            self.LAYOUT_CONFIG, population_size=301, mutation_prob=1.0, max_depth=1, init_depth_range=(1, 1)
         )
+        outcomes = self.check_breed_layout(cfg)
+        assert outcomes["retry"] > 0 and outcomes["fallback"] > 0
+
+    @staticmethod
+    def check_breed_layout(cfg):
+        """breed's next generation against one rebuilt from the README's
+        layout; returns the rebuilt mutations' outcome counts."""
         names = ["A", "B"]
-        population = init_population(cfg, names, init_stream(cfg))
+        population = init_population(cfg, names, init_draws(cfg))
         for i, ind in enumerate(population):
             ind.fitness = float(i % 7)
         order, ranks = ranking(population)
         got = breed(population, order, ranks, cfg, names, np.random.SeedSequence(9).spawn(2)[1])
 
-        # Generation 1's stream draws entrants, pair flags, points, mutation flags.
-        child = np.random.SeedSequence(9).spawn(2)[1]
-        draws = np.random.Generator(np.random.PCG64(child))
-        m = 39
-        trees = [population[min(row, key=ranks.__getitem__)].tree for row in draws.integers(0, 41, (m, 3))]
-        pairs = np.flatnonzero(draws.random(m // 2) < 0.6)
+        # Generation 1's stream draws entrants, pair flags, points, mutation
+        # flags, then mutate's plan.
+        draws = np.random.Generator(np.random.PCG64(np.random.SeedSequence(9).spawn(2)[1]))
+        size = cfg.population_size
+        m = size - 2
+        entrants = draws.integers(0, size, (m, 3))
+        trees = [population[min(row, key=ranks.__getitem__)].tree for row in entrants]
+        pairs = np.flatnonzero(draws.random(m // 2) < cfg.crossover_prob)
         points = draws.integers(0, [trees[j].size for k in pairs for j in (2 * k, 2 * k + 1)])
         for k, a, b in zip(pairs, points[::2], points[1::2]):
-            trees[2 * k], trees[2 * k + 1] = crossover(trees[2 * k], trees[2 * k + 1], 8, a, b)
-        rng = _Pcg64Stream(*child.spawn(1))
-        for j in np.flatnonzero(draws.random(m) < 0.3):
-            trees[j] = mutate(trees[j], names, 8, (-5.0, 5.0), rng)
+            trees[2 * k], trees[2 * k + 1] = crossover(trees[2 * k], trees[2 * k + 1], cfg.max_depth, a, b)
+        slots = np.flatnonzero(draws.random(m) < cfg.mutation_prob)
+        outcomes = Counter()
+        mutants = layout_mutants([trees[j] for j in slots], names, cfg.max_depth, cfg.constant_range, draws, outcomes)
+        for j, tree in zip(slots, mutants):
+            trees[j] = tree
         assert 0 < len(pairs) < m // 2
         assert [ind.tree for ind in got] == [population[i].tree for i in order[:2]] + trees
+        return outcomes
+
+    def test_each_generation_scores_its_new_trees_in_one_call(self, monkeypatch):
+        populations, scored = [], []
+        real_init, real_breed, real_fitness = gpsr.init_population, gpsr.breed, gpsr.fitness
+
+        def recording_init(*args):
+            populations.append([ind.tree for ind in real_init(*args)])
+            return [Individual(tree) for tree in populations[-1]]
+
+        def recording_breed(*args):
+            offspring = real_breed(*args)
+            populations.append([ind.tree for ind in offspring])
+            return offspring
+
+        def recording_fitness(trees, *args):
+            scored.append(list(trees))
+            return real_fitness(trees, *args)
+
+        monkeypatch.setattr(gpsr, "init_population", recording_init)
+        monkeypatch.setattr(gpsr, "breed", recording_breed)
+        monkeypatch.setattr(gpsr, "fitness", recording_fitness)
+        res = evolve(make_data(), "Z", GpConfig(population_size=60, generations=6, seed=3))
+        assert len(scored) == len(populations) == len(res.history) == 6
+        seen = set()
+        for population, trees in zip(populations, scored):
+            # The generation's distinct trees not scored before, in population order.
+            fresh = [t for t in population if t.tokens not in seen and not seen.add(t.tokens)]
+            assert [t.tokens for t in trees] == [t.tokens for t in fresh]
+            assert len(fresh) < len(population) or population is populations[0]
 
     def test_history_invariants(self):
         data = make_data()

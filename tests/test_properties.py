@@ -49,7 +49,7 @@ from ecd.gpsr import (
     MAX_POPULATION,
     PENALTY_MSE,
     Individual,
-    _random_tree,
+    _random_trees,
     crossover,
     fitness,
     mutate,
@@ -166,7 +166,7 @@ def test_crossover_and_mutation_stay_within_max_depth(a, b, slack, seed):
     max_depth = max(a.depth, b.depth) + slack
     rng = np.random.default_rng(seed)
     children = crossover(a, b, max_depth, int(rng.integers(a.size)), int(rng.integers(b.size)))
-    for child in children + (mutate(a, VARS, max_depth, (-5.0, 5.0), rng),):
+    for child in children + tuple(mutate([a], VARS, max_depth, (-5.0, 5.0), rng)):
         assert ExpressionTree(child.tokens) == child
         assert child.depth <= max_depth
 
@@ -232,7 +232,7 @@ kernel_tokens = st.recursive(
 )
 # Ramped half-and-half's two shapes, as init_population draws them.
 grown_tokens = st.builds(
-    lambda seed, depth, full: _random_tree(np.random.default_rng(seed), VARS, (-5.0, 5.0), depth, 1, full),
+    lambda seed, depth, full: _random_trees(np.random.default_rng(seed), [full], depth, 1, VARS, (-5.0, 5.0))[0],
     st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans(),
 )
 kernel_data = st.integers(1, 6).flatmap(
@@ -254,7 +254,7 @@ def test_kernel_matches_the_reference_evaluator_bit_for_bit(tokens, columns):
     tree, data = ExpressionTree(tokens), Dataset(columns)
     batch = evaluate_batch(tree, data)
     assert isinstance(batch, np.ndarray) and same_bits(batch, reference_evaluate(tree, data))
-    assert fitness(tree, data, "Z", 0.001) == reference_fitness(tree, data, 0.001)
+    assert fitness([tree], data, "Z", 0.001) == [reference_fitness(tree, data, 0.001)]
     scenarios = {name: data.column(name).tolist() for name in VARS}
     assert same_bits(evaluate_nodes(tree, scenarios)[0], batch)
 

@@ -179,7 +179,7 @@ class TestStructureScore:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert structure_score(tree, GROUND_TRUTH, holdout).mse_on_clean == math.inf
-            assert fitness(tree, holdout, "Z", 0.001) == (PENALTY_MSE, PENALTY_MSE)
+            assert fitness([tree], holdout, "Z", 0.001) == [(PENALTY_MSE, PENALTY_MSE)]
 
     def test_explicit_holdout_used(self):
         holdout = Dataset({"B": [1.0, 2.0], "Z": [1.0, 2.0]})
