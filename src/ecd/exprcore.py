@@ -24,6 +24,8 @@ from .errors import MalformedTree, MissingVariable, UnknownNodeId
 
 # Denominators smaller than this in magnitude make protected division return 1.0.
 DIV_EPSILON = 1e-6
+# Labels print values beyond it in exponent form, so none grows to hundreds of digits.
+LABEL_CUTOFF = 1e16
 
 
 def pdiv(x, y):
@@ -95,9 +97,9 @@ def op_node(operator: Operator, *children: Tokens) -> Tokens:
 
 def format_constant(value: float) -> str:
     """Shortest decimal form that round-trips; integral values inside
-    (-1e16, 1e16) print without a fraction, and a non-finite value prints as
-    inf, -inf or nan."""
-    if -1e16 < value < 1e16 and value == int(value):
+    (-LABEL_CUTOFF, LABEL_CUTOFF) print without a fraction, and a non-finite
+    value prints as inf, -inf or nan."""
+    if -LABEL_CUTOFF < value < LABEL_CUTOFF and value == int(value):
         return str(int(value))
     return repr(value)
 

@@ -155,9 +155,9 @@ def preset(name: str, **overrides) -> GpConfig:
     return replace(base, **overrides) if overrides else base
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Individual:
-    """One candidate expression. fitness/raw_mse are None until evaluated."""
+    """One expression and its score, None until scored; evolve builds one per tree scored."""
 
     tree: ExpressionTree
     fitness: float | None = None
@@ -314,12 +314,10 @@ def ranking(population: Sequence[Individual]) -> tuple[list[int], list[int]]:
     """(order, ranks): order lists the population's indices best first, by
     fitness, then smaller tree, then earlier index, a total order; ranks[i] is
     individual i's position in order."""
-    keys = [(ind.fitness, ind.tree.size, i) for i, ind in enumerate(population)]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    ranks = [0] * len(order)
-    for rank, i in enumerate(order):
-        ranks[i] = rank
-    return order, ranks
+    order = np.lexsort(([ind.tree.size for ind in population], [ind.fitness for ind in population]))
+    ranks = np.empty_like(order)
+    ranks[order] = np.arange(len(order))
+    return order.tolist(), ranks.tolist()
 
 
 def select(ranks: Sequence[int], entrants) -> list[int]:
@@ -434,9 +432,9 @@ def breed(
     config: GpConfig,
     variables: Sequence[str],
     seq: np.random.SeedSequence,
-) -> list[Individual]:
-    """The next generation: the elitism_count best, then m offspring bred
-    from Generator(PCG64(seq))'s draws in the order below, mutate's last."""
+) -> list[ExpressionTree]:
+    """The next generation's trees: the elitism_count best, then m offspring
+    bred from Generator(PCG64(seq))'s draws in the order below, mutate's last."""
     draws = np.random.Generator(np.random.PCG64(seq))
     m, k = config.population_size - config.elitism_count, config.tournament_size
     rows = max(1, ENTRANT_BLOCK // k)
@@ -457,7 +455,7 @@ def breed(
     mutants = mutate([trees[slot] for slot in slots], variables, config.max_depth, config.constant_range, draws)
     for slot, tree in zip(slots, mutants):
         trees[slot] = tree
-    return [population[i] for i in order[: config.elitism_count]] + [Individual(t) for t in trees]
+    return [population[i].tree for i in order[: config.elitism_count]] + trees
 
 
 def evolve(data: Dataset, response: str, config: GpConfig) -> FitResult:
@@ -478,13 +476,14 @@ def evolve(data: Dataset, response: str, config: GpConfig) -> FitResult:
     # spawn(1) numbers its children in order: child 0 seeds initialization,
     # child t breeds generation t, spawned only when that generation starts.
     seeds = np.random.SeedSequence(config.seed)
-    population = init_population(config, variables, np.random.Generator(np.random.PCG64(*seeds.spawn(1))))
+    draws = np.random.Generator(np.random.PCG64(*seeds.spawn(1)))
+    trees = [ind.tree for ind in init_population(config, variables, draws)]
 
-    # Keyed by token tuple: equal tuples are equal trees, and constants are
-    # floats only, so no two distinct trees share a key. Each generation
-    # scores its distinct uncached trees in one fitness call, in population
-    # order, so an unchanged copy of a parent reads its entry.
-    cache: dict[tuple, tuple[float, float]] = {}
+    # Each distinct tree's one Individual, keyed by token tuple: equal tuples
+    # are equal trees, and constants are floats only, so no two distinct trees
+    # share a key. Each generation scores its distinct uncached trees in one
+    # fitness call, in population order, so a copy of a parent reads its entry.
+    cache: dict[tuple, Individual] = {}
 
     best: Individual | None = None
     history: list[GenerationStats] = []
@@ -492,16 +491,16 @@ def evolve(data: Dataset, response: str, config: GpConfig) -> FitResult:
     flat_generations = 0
 
     for generation in range(config.generations):
-        fresh = {ind.tree.tokens: ind.tree for ind in population if ind.tree.tokens not in cache}
-        cache.update(zip(fresh, fitness(list(fresh.values()), data, response, config.parsimony_coeff)))
-        for ind in population:
-            ind.fitness, ind.raw_mse = cache[ind.tree.tokens]
+        fresh = {tree.tokens: tree for tree in trees if tree.tokens not in cache}
+        scores = fitness(list(fresh.values()), data, response, config.parsimony_coeff)
+        cache.update((key, Individual(tree, *score)) for (key, tree), score in zip(fresh.items(), scores))
+        population = [cache[tree.tokens] for tree in trees]
 
         order, ranks = ranking(population)
         gen_best = population[order[0]]
         previous = best.fitness if best is not None else None
         if best is None or gen_best.fitness < best.fitness:
-            best = Individual(gen_best.tree, gen_best.fitness, gen_best.raw_mse)
+            best = gen_best
 
         fitness_values = [ind.fitness for ind in population]
         history.append(
@@ -528,7 +527,7 @@ def evolve(data: Dataset, response: str, config: GpConfig) -> FitResult:
         if generation == config.generations - 1:
             break
 
-        population = breed(population, order, ranks, config, variables, *seeds.spawn(1))
+        trees = breed(population, order, ranks, config, variables, *seeds.spawn(1))
 
     return FitResult(best=best, history=tuple(history), terminated_by=terminated_by)
 

@@ -19,6 +19,7 @@ import numpy as np
 from .dataio import Dataset
 from .errors import EmptyColumn, InvalidConfig, MissingVariable, NonFiniteBaseline
 from .exprcore import (
+    LABEL_CUTOFF,
     ExpressionTree,
     Operator,
     const_node,
@@ -124,9 +125,9 @@ def annotation(before: float, after: float) -> str:
 
 def format_value(value: float, spec: str = ".3") -> str:
     """value in fixed point to spec's sign and precision (3 decimals by
-    default), or in exponent form outside (-1e16, 1e16), format_constant's
-    cutoff, so labels stay short; nan and inf read as in fixed point."""
-    return f"{value:{spec}f}" if -1e16 < value < 1e16 else f"{value:{spec}e}"
+    default), or in exponent form outside (-LABEL_CUTOFF, LABEL_CUTOFF);
+    nan and inf read as in fixed point."""
+    return f"{value:{spec}f}" if -LABEL_CUTOFF < value < LABEL_CUTOFF else f"{value:{spec}e}"
 
 
 def format_impact(value: float) -> str:

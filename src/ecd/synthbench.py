@@ -148,13 +148,13 @@ class RunRecord:
     best_mse: float
     support_jaccard: float
     runtime_sec: float
-    best_expression: str
+    result: FitResult
 
 
 def run_benchmark(
     gp_config: GpConfig, synth_configs: Iterable[SynthConfig], repeats: int = 1
 ) -> tuple[RunRecord, ...]:
-    """Evolve once per (config, repeat) and score against the fixed holdout.
+    """Generate, evolve, time and score once per (config, repeat), on the fixed holdout.
 
     Repeat r of a config offsets both the data seed and the search seed by r,
     so every run is an independent draw yet fully reproducible.
@@ -168,7 +168,7 @@ def run_benchmark(
             run_seed = synth.seed + r
             data, truth = generate(replace(synth, seed=run_seed))
             started = time.perf_counter()
-            result: FitResult = evolve(data, truth.response, replace(gp_config, seed=run_seed))
+            result = evolve(data, truth.response, replace(gp_config, seed=run_seed))
             runtime = time.perf_counter() - started
             score = structure_score(result.best.tree, truth, holdout)
             runs.append(
@@ -178,7 +178,7 @@ def run_benchmark(
                     best_mse=score.mse_on_clean,
                     support_jaccard=score.support_jaccard,
                     runtime_sec=runtime,
-                    best_expression=result.best.tree.infix,
+                    result=result,
                 )
             )
     return tuple(runs)

@@ -7,7 +7,6 @@ expensive evolution sweeps are shared across tests through session fixtures.
 
 import json
 import re
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -41,7 +40,6 @@ from ecd.synthbench import (
     generate,
     holdout_data,
     run_benchmark,
-    structure_score,
 )
 
 RECOVERY_GP = GpConfig(population_size=2000, generations=30)
@@ -78,17 +76,9 @@ def holdout():
 
 
 @pytest.fixture(scope="session")
-def noiseless_runs(holdout):
-    runs = []
-    for seed in range(10):
-        data, truth = generate(SynthConfig(n=500, seed=seed, noise_percent=0.0))
-        config = replace(RECOVERY_GP, seed=seed)
-        started = time.perf_counter()
-        result = evolve(data, truth.response, config)
-        runtime = time.perf_counter() - started
-        score = structure_score(result.best.tree, truth, holdout)
-        runs.append({"seed": seed, "result": result, "score": score, "runtime": runtime})
-    return runs
+def noiseless_runs():
+    # Seeds 0-9: repeat r runs at data seed and search seed r.
+    return run_benchmark(RECOVERY_GP, [SynthConfig(n=500, seed=0, noise_percent=0.0)], repeats=10)
 
 
 @pytest.fixture(scope="session")
@@ -105,11 +95,11 @@ def noisy_r2(holdout):
 
 
 def test_01_synthetic_recovery(noiseless_runs):
-    good = [r for r in noiseless_runs if r["score"].mse_on_clean < RECOVERY_MSE]
-    slowest = max(r["runtime"] for r in noiseless_runs)
+    good = [r for r in noiseless_runs if r.best_mse < RECOVERY_MSE]
+    slowest = max(r.runtime_sec for r in noiseless_runs)
     ok = (
         len(good) >= 8
-        and all(r["score"].support_jaccard == 1.0 for r in good)
+        and all(r.support_jaccard == 1.0 for r in good)
         and slowest < RUN_BUDGET_SEC
     )
     report(
@@ -226,7 +216,7 @@ def test_05_zero_perturbation_identity():
 def test_06_elitist_monotonicity(noiseless_runs):
     bad_runs = 0
     for run in noiseless_runs:
-        mins = [stats.min_fitness for stats in run["result"].history]
+        mins = [stats.min_fitness for stats in run.result.history]
         if any(later > earlier for earlier, later in zip(mins, mins[1:])):
             bad_runs += 1
     report(6, "elitist monotonicity", bad_runs == 0, f"{bad_runs}/10 runs regressed")
@@ -277,7 +267,7 @@ def test_08_determinism(noiseless_runs, tmp_path):
     data, truth = generate(SynthConfig(n=500, seed=0, noise_percent=0.0))
     config = replace(RECOVERY_GP, seed=0)
     rerun = evolve(data, truth.response, config)
-    first = noiseless_runs[0]["result"]
+    first = noiseless_runs[0].result
     predictors = [n for n in data.names if n != truth.response]
 
     model_a = json.dumps(model_document(first.best, predictors, config), indent=2, sort_keys=True)

@@ -235,6 +235,16 @@ class TestFit:
     def test_no_source(self, tmp_path):
         assert main(["fit", "--out", str(tmp_path)]) == 1
 
+    def test_csv_source_without_roles(self, tmp_path, caplog):
+        data_path = tmp_path / "data.csv"
+        regression_csv(data_path)
+        cfg = tmp_path / "config.json"
+        write_config(cfg, dict(SMALL_GP, data={"csv": str(data_path)}))
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "csv data source needs csv, response and predictors" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "doc, message",
         [
@@ -259,6 +269,7 @@ class TestFit:
                 {"intervention": {"variable": "B", "mode": "relative", "magnitude": 2}},
                 "unknown intervention config fields: magnitude",
             ),
+            ([{"gp": {}}], "config file must contain a JSON object"),
         ],
     )
     def test_malformed_config_is_invalid_config(self, tmp_path, caplog, doc, message):
@@ -521,6 +532,25 @@ class TestCounterfactual:
         doc = json.loads((out / "counterfactual.json").read_text())
         assert doc["perturbed_output"] == pytest.approx(2.5)
         assert doc["impact"] == pytest.approx(-0.1)
+
+    def test_relative_change_of_a_zero_notes_its_fallback(self, tmp_path):
+        model_path = tmp_path / "model.json"
+        bcd_model(model_path)
+        cfg = tmp_path / "config.json"
+        write_config(cfg, {"intervention": {"variable": "B", "mode": "relative", "value": 0.05}})
+        out = tmp_path / "out"
+        code = main(
+            ["counterfactual", "--model", str(model_path), "--config", str(cfg),
+             "--at", "B=0", "--at", "C=3", "--at", "D=5", "--out", str(out)]
+        )
+        assert code == 0
+        lines = (out / "counterfactual.txt").read_text().splitlines()
+        assert lines[2:6] == [
+            "intervention: B relative 0.05",
+            "perturbed output: 0.650",
+            "impact: +0.050",
+            "note: relative perturbation of B fell back to absolute: baseline is 0",
+        ]
 
     def test_flags_overwrite_scenario_and_intervention(self, tmp_path):
         model_path = tmp_path / "model.json"

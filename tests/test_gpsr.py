@@ -3,7 +3,7 @@ import json
 import math
 import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -176,6 +176,7 @@ class TestGpConfig:
             {"parsimony_coeff": math.inf},
             {"fitness_threshold": math.nan},
             {"fitness_threshold": math.inf},
+            {"constant_range": (-5, 10**400)},  # float(10**400) overflows
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -622,7 +623,7 @@ class TestEvolve:
         for made, offspring in generations:
             assert len(offspring) == population_size
             assert len(made) == m // 2
-            bred = [ind.tree for ind in offspring[elitism_count:]]
+            bred = offspring[elitism_count:]
             for k, (child_a, child_b) in enumerate(made):
                 assert bred[2 * k] is child_a and bred[2 * k + 1] is child_b
 
@@ -665,9 +666,10 @@ class TestEvolve:
         """breed's next generation against one rebuilt from the README's
         layout; returns the rebuilt mutations' outcome counts."""
         names = ["A", "B"]
-        population = init_population(cfg, names, init_draws(cfg))
-        for i, ind in enumerate(population):
-            ind.fitness = float(i % 7)
+        population = [
+            Individual(ind.tree, fitness=float(i % 7))
+            for i, ind in enumerate(init_population(cfg, names, init_draws(cfg)))
+        ]
         order, ranks = ranking(population)
         got = breed(population, order, ranks, cfg, names, np.random.SeedSequence(9).spawn(2)[1])
 
@@ -688,7 +690,7 @@ class TestEvolve:
         for j, tree in zip(slots, mutants):
             trees[j] = tree
         assert 0 < len(pairs) < m // 2
-        assert [ind.tree for ind in got] == [population[i].tree for i in order[:2]] + trees
+        assert got == [population[i].tree for i in order[:2]] + trees
         return outcomes
 
     def test_each_generation_scores_its_new_trees_in_one_call(self, monkeypatch):
@@ -701,7 +703,7 @@ class TestEvolve:
 
         def recording_breed(*args):
             offspring = real_breed(*args)
-            populations.append([ind.tree for ind in offspring])
+            populations.append(list(offspring))
             return offspring
 
         def recording_fitness(trees, *args):
@@ -719,6 +721,32 @@ class TestEvolve:
             fresh = [t for t in population if t.tokens not in seen and not seen.add(t.tokens)]
             assert [t.tokens for t in trees] == [t.tokens for t in fresh]
             assert len(fresh) < len(population) or population is populations[0]
+
+    def test_each_distinct_tree_gets_one_frozen_individual(self, monkeypatch):
+        built, scored = [], []
+        real_fitness = gpsr.fitness
+
+        class RecordingIndividual(Individual):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        def recording_fitness(trees, *args):
+            scored.extend(trees)
+            return real_fitness(trees, *args)
+
+        monkeypatch.setattr(gpsr, "Individual", RecordingIndividual)
+        monkeypatch.setattr(gpsr, "fitness", recording_fitness)
+        cfg = GpConfig(population_size=60, generations=6, seed=3)
+        res = evolve(make_data(), "Z", cfg)
+        # init_population's unscored records, then one per tree scored, as it is scored.
+        unscored, records = built[: cfg.population_size], built[cfg.population_size :]
+        assert all(ind.fitness is None for ind in unscored)
+        assert [ind.tree for ind in records] == scored
+        assert len({ind.tree.tokens for ind in records}) == len(records)
+        assert any(res.best is ind for ind in records)
+        with pytest.raises(FrozenInstanceError):
+            res.best.fitness = 0.0
 
     def test_history_invariants(self):
         data = make_data()

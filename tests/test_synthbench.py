@@ -205,7 +205,7 @@ class TestRunBenchmark:
             assert run.best_mse >= 0.0
             assert 0.0 <= run.support_jaccard <= 1.0
             assert run.runtime_sec > 0.0
-            assert run.best_expression
+            assert run.result.best.tree.infix
 
     def test_deterministic_apart_from_runtime(self, tiny_runs):
         again = run_benchmark(
@@ -214,7 +214,7 @@ class TestRunBenchmark:
             repeats=2,
         )
         for one, two in zip(tiny_runs, again):
-            assert one.best_expression == two.best_expression
+            assert one.result == two.result
             assert one.best_mse == two.best_mse
             assert one.support_jaccard == two.support_jaccard
 

@@ -2,9 +2,9 @@
 
 Fits the paper's synthetic benchmark (Z = B + C/D) at the desk config,
 GpConfig() with n=500, at noise levels 0, 0.01, 0.05 and 0.10, over seeds
-1-150 at each level (the data seed and the search seed are the same), and
-scores every best tree with synthbench.structure_score on the fixed holdout.
-For each level it writes, as JSON:
+1-150 at each level (the data seed and the search seed are the same). Each
+fit is one synthbench.run_benchmark run, scored on the fixed holdout. For
+each level it writes, as JSON:
 
 - the count of fits whose support matches the truth (support_jaccard 1.0),
   and the count that also scores a holdout MSE below 1e-4;
@@ -33,11 +33,11 @@ import sys
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import ecd
-from ecd.gpsr import GpConfig, evolve
-from ecd.synthbench import SynthConfig, generate, holdout_data, structure_score
+from ecd.gpsr import GpConfig
+from ecd.synthbench import SynthConfig, run_benchmark
 
 NOISE_LEVELS = (0.0, 0.01, 0.05, 0.10)
 SEEDS = range(1, 151)
@@ -59,17 +59,13 @@ RULE = (
 
 def fit_one(job: tuple[float, int]) -> dict:
     noise, seed = job
-    data, truth = generate(SynthConfig(n=N_ROWS, seed=seed, noise_percent=noise))
-    started = time.perf_counter()
-    result = evolve(data, truth.response, replace(GpConfig(), seed=seed))
-    seconds = time.perf_counter() - started
-    score = structure_score(result.best.tree, truth, holdout_data())
+    (run,) = run_benchmark(GpConfig(), [SynthConfig(n=N_ROWS, seed=seed, noise_percent=noise)])
     return {
-        "recovered": score.support_jaccard == 1.0,
-        "mse_on_clean": score.mse_on_clean,
-        "generations": len(result.history),
-        "terminated_by": result.terminated_by.value,
-        "seconds": seconds,
+        "recovered": run.support_jaccard == 1.0,
+        "mse_on_clean": run.best_mse,
+        "generations": len(run.result.history),
+        "terminated_by": run.result.terminated_by.value,
+        "seconds": run.runtime_sec,
     }
 
 
