@@ -57,7 +57,7 @@ class Dataset:
         object.__setattr__(self, "columns", frozen)
 
     @cached_property
-    def divisor_masks(self) -> dict[str, np.ndarray | None]:
+    def divisor_masks(self) -> dict[int, np.ndarray | None]:
         """exprcore.divisor_masks of the columns, computed when first read."""
         return divisor_masks(self.columns)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
@@ -60,19 +59,8 @@ _SYMBOLS = {
     Operator.PDIV: "/",
 }
 
-# The evaluation kernel's operations. Each takes floats or arrays: two floats
-# give a float, so a subtree of constants folds to one number, and an array
-# operand gives the elementwise float64 result, the same bits as numpy's
-# ufunc on the constant broadcast to an array.
-_KERNEL = {
-    Operator.ADD: operator.add,
-    Operator.SUB: operator.sub,
-    Operator.MUL: operator.mul,
-    Operator.PDIV: pdiv,
-}
-
 OPERATORS: tuple[Operator, ...] = tuple(Operator)
-_PDIV = Operator.PDIV
+_ADD, _SUB, _MUL, _PDIV = Operator.ADD, Operator.SUB, Operator.MUL, Operator.PDIV
 
 # Constants are floats and never ints, so no constant compares equal to
 # another token (1 == 1.0 would merge distinct trees in hashed collections).
@@ -121,46 +109,68 @@ def _malformed(tokens: Tokens, parsed_end: int) -> MalformedTree:
     return MalformedTree(f"tokens continue past the end of the tree at node {parsed_end}")
 
 
+def _ends_and_depth(tokens: Tokens) -> tuple[list[int], int]:
+    """(ends, depth) of a token sequence, as ExpressionTree defines them, if
+    it encodes one tree; else ends[0] != len(tokens).
+
+    One pass from the last token back, so both operands of an operator are
+    done before it. A leaf ends just after itself; slots n and n + 1 stand
+    for an operand past the last token, and their end n + 1 carries up to
+    every operator above it.
+    """
+    n = len(tokens)
+    ends = list(range(1, n + 2))
+    ends.append(n + 1)
+    heights = [0] * (n + 2)
+    for i in range(n - 1, -1, -1):
+        if tokens[i].__class__ is Operator:
+            right = ends[i + 1]
+            ends[i] = ends[right]
+            a, b = heights[i + 1], heights[right]
+            heights[i] = (a if a > b else b) + 1
+    return ends, heights[0]
+
+
 @dataclass(frozen=True, slots=True)
 class ExpressionTree:
-    """A validated preorder token tuple with stable node ids.
+    """A preorder token tuple that encodes one tree, with stable node ids.
 
-    ends[i] is the index just past the subtree rooted at node i, so that
-    subtree is tokens[i:ends[i]]; an operator's left operand starts at i + 1
-    and its right operand at ends[i + 1]. depth counts edges on the longest
-    root-to-leaf path.
+    ExpressionTree(tokens) validates the tokens; trusted_tree builds a tree
+    whose tokens are valid by construction without that pass. ends[i] is
+    the index just past the subtree rooted at node i, so that subtree is
+    tokens[i:ends[i]]; an operator's left operand starts at i + 1 and its
+    right operand at ends[i + 1]. ends is derived on each read, not stored.
+    depth counts edges on the longest root-to-leaf path.
     """
 
     tokens: Tokens
-    ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
     size: int = field(init=False, repr=False, compare=False)
-    depth: int = field(init=False, repr=False, compare=False)
+    _depth: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tokens = self.tokens
         if type(tokens) is not tuple:
             tokens = tuple(tokens)
             object.__setattr__(self, "tokens", tokens)
+        ends, depth = _ends_and_depth(tokens)
         n = len(tokens)
-        # One pass from the last token back, so both operands of an operator
-        # are done before it. A leaf ends just after itself; slots n and n + 1
-        # stand for an operand past the last token, and their end n + 1
-        # carries up to every operator above it.
-        ends = list(range(1, n + 2))
-        ends.append(n + 1)
-        heights = [0] * (n + 2)
-        for i in range(n - 1, -1, -1):
-            if tokens[i].__class__ is Operator:
-                right = ends[i + 1]
-                ends[i] = ends[right]
-                a, b = heights[i + 1], heights[right]
-                heights[i] = (a if a > b else b) + 1
         if ends[0] != n or not _TOKEN_TYPES.issuperset(map(type, tokens)) or "" in tokens:
             raise _malformed(tokens, ends[0])
-        del ends[n:]
-        object.__setattr__(self, "ends", tuple(ends))
         object.__setattr__(self, "size", n)
-        object.__setattr__(self, "depth", heights[0])
+        object.__setattr__(self, "_depth", depth)
+
+    @property
+    def depth(self) -> int:
+        depth = self._depth
+        if depth is None:
+            depth = node_depth(self.tokens)
+            object.__setattr__(self, "_depth", depth)
+        return depth
+
+    @property
+    def ends(self) -> tuple[int, ...]:
+        ends, _ = _ends_and_depth(self.tokens)
+        return tuple(ends[: self.size])
 
     @property
     def infix(self) -> str:
@@ -177,27 +187,57 @@ class ExpressionTree:
         return stack[0]
 
 
+# ExpressionTree's slot setters: trusted_tree fills a tree's slots without
+# object.__setattr__'s lookup by name.
+_SET_TOKENS, _SET_SIZE, _SET_DEPTH = (
+    ExpressionTree.__dict__[name].__set__ for name in ("tokens", "size", "_depth")
+)
+
+
+def trusted_tree(tokens: Tokens, depth: int | None = None) -> ExpressionTree:
+    """The tree of a token tuple that is valid by construction, such as a
+    splice of complete subtrees of valid trees, built without the validating
+    pass. depth, when not given, is computed on first read."""
+    tree = object.__new__(ExpressionTree)
+    _SET_TOKENS(tree, tokens)
+    _SET_SIZE(tree, len(tokens))
+    _SET_DEPTH(tree, depth)
+    return tree
+
+
 def node_depth(tokens: Tokens) -> int:
     """Longest root-to-leaf path, counted in edges, of the tree that a valid
     preorder token sequence encodes; cheaper than building the tree."""
-    deepest = 0
-    pending = [0]  # depths of the operand slots still to fill, next on top
-    pop, push = pending.pop, pending.append
+    deepest = level = 0
+    pending = [0]  # levels of the right operands still to visit, next on top
+    push, pop = pending.append, pending.pop
     for token in tokens:
-        level = pop()
-        if isinstance(token, Operator):
-            push(level + 1)
-            push(level + 1)
-        elif level > deepest:
-            deepest = level
+        if token.__class__ is Operator:
+            level += 1
+            push(level)  # its left operand follows at once, at the same level
+        else:
+            if level > deepest:
+                deepest = level
+            level = pop()  # the last leaf takes the 0
     return deepest
+
+
+def _subtree_end(tokens: Tokens, index: int) -> int:
+    """Index just past the subtree rooted at node index of a valid preorder
+    token tuple, found by a scan from index."""
+    end, pending = index, 1  # operand slots still to fill
+    while pending:
+        pending += 1 if tokens[end].__class__ is Operator else -1
+        end += 1
+    return end
 
 
 def subtree_at(tree: ExpressionTree, index: int) -> Tokens:
     """Tokens of the subtree rooted at node `index`."""
     if index < 0 or index >= tree.size:
         raise UnknownNodeId(index)
-    return tree.tokens[index : tree.ends[index]]
+    tokens = tree.tokens
+    return tokens[index : _subtree_end(tokens, index)]
 
 
 def replace_at(tree: ExpressionTree, index: int, replacement: Tokens) -> Tokens:
@@ -205,7 +245,7 @@ def replace_at(tree: ExpressionTree, index: int, replacement: Tokens) -> Tokens:
     if index < 0 or index >= tree.size:
         raise UnknownNodeId(index)
     tokens = tree.tokens
-    return tokens[:index] + replacement + tokens[tree.ends[index] :]
+    return tokens[:index] + replacement + tokens[_subtree_end(tokens, index) :]
 
 
 def dependency_set(tree: ExpressionTree) -> set[str]:
@@ -213,46 +253,55 @@ def dependency_set(tree: ExpressionTree) -> set[str]:
     return {token for token in tree.tokens if isinstance(token, str)}
 
 
-def divisor_masks(columns: Mapping[str, np.ndarray]) -> dict[str, np.ndarray | None]:
+def divisor_masks(columns: Mapping[str, np.ndarray]) -> dict[int, np.ndarray | None]:
     """For each column, where protected division by it gives 1.0: a boolean
-    mask, or None where it gives the quotient everywhere."""
+    mask, or None where it gives the quotient everywhere. Keyed by the
+    column's id, as the kernel meets a divisor as an array, not a name; the
+    ids hold while the columns live."""
     masks = {}
-    for name, column in columns.items():
+    for column in columns.values():
         small = ~(abs(column) >= DIV_EPSILON)
-        masks[name] = small if small.any() else None
+        masks[id(column)] = small if small.any() else None
     return masks
 
 
-def _run(tree: ExpressionTree, columns, masks: Mapping | None, rows=None):
+def _run(tokens: Tokens, columns, masks: Mapping, rows=None):
     """The evaluation kernel: the root's value over the columns, a float when
     the tree reads no variable, else an array. Node i's value also goes to
     rows[i] when rows is given.
 
     One pass from the last token back, so both operands of an operator are
     done before it; only operands still to be used stay on the stack.
-    Constants stay floats and operators go through _KERNEL, so a subtree of
-    constants folds to a float. A column that divides takes its mask from
-    masks (see divisor_masks); without masks, pdiv checks every divisor.
-    The caller holds the np.errstate scope, as overflow and NaN are ordinary
-    values here.
+    Constants stay floats and + - * apply inline to floats or arrays alike,
+    so a subtree of constants folds to a float, and an array operand gives
+    the same bits as numpy's ufunc on the constant broadcast to an array. A
+    divisor that is one of the columns itself, found by identity in masks
+    (see divisor_masks), takes that column's mask; any other goes through
+    pdiv. The caller holds the np.errstate scope, as overflow and NaN are
+    ordinary values here.
     """
-    tokens, ends = tree.tokens, tree.ends
     stack: list = []
     push, pop = stack.append, stack.pop
     for i in range(len(tokens) - 1, -1, -1):
         token = tokens[i]
         if token.__class__ is Operator:
             x = pop()
-            if token is _PDIV and masks is not None and tokens[ends[i + 1]].__class__ is str:
-                # A column divides: x / y is a new array, and the column's
-                # mask was computed once for its dataset.
-                out = x / stack[-1]
-                mask = masks[tokens[ends[i + 1]]]
-                if mask is not None:
-                    out[mask] = 1.0
-                stack[-1] = out
+            if token is _ADD:
+                stack[-1] = x + stack[-1]
+            elif token is _SUB:
+                stack[-1] = x - stack[-1]
+            elif token is _MUL:
+                stack[-1] = x * stack[-1]
             else:
-                stack[-1] = _KERNEL[token](x, stack[-1])
+                y = stack[-1]
+                mask = masks.get(id(y), False)
+                if mask is False:
+                    stack[-1] = pdiv(x, y)
+                else:  # x / y is a new array, and the column's mask was computed once
+                    out = x / y
+                    if mask is not None:
+                        out[mask] = 1.0
+                    stack[-1] = out
         elif token.__class__ is str:
             try:
                 push(columns[token])
@@ -281,7 +330,7 @@ def evaluate_nodes(tree: ExpressionTree, scenarios: Scenarios) -> np.ndarray:
     }
     rows = np.empty((tree.size, m))
     with np.errstate(all="ignore"):
-        _run(tree, columns, None, rows)
+        _run(tree.tokens, columns, {}, rows)  # no masks: pdiv checks every divisor
     return rows
 
 
@@ -300,7 +349,7 @@ def evaluate_batch(tree: ExpressionTree, data) -> np.ndarray:
     np.errstate scope, as each caller goes on computing with the output and
     holds one scope around both.
     """
-    out = _run(tree, data.columns, data.divisor_masks)
+    out = _run(tree.tokens, data.columns, data.divisor_masks)
     return np.full(data.n_rows, out) if out.__class__ is float else out
 
 
@@ -314,20 +363,22 @@ class DotLayout:
     boxed, operators ellipses; edges run child to parent, as values flow."""
 
     def __init__(self, tree: ExpressionTree):
-        tokens, ends = tree.tokens, tree.ends
         self.heads, self.tails = [], []
-        parent = [0] * len(tokens)
-        for node_id, token in enumerate(tokens):
+        edges = []
+        pending: list[int] = []  # an operator's id once per operand still to come, next on top
+        for node_id, token in enumerate(tree.tokens):
+            if pending:
+                edges.append(f"\n  n{node_id} -> n{pending.pop()};")
             if isinstance(token, Operator):
                 label, shape = _SYMBOLS[token], "ellipse"
-                parent[node_id + 1] = parent[ends[node_id + 1]] = node_id
+                pending += (node_id, node_id)
             elif isinstance(token, str):
                 label, shape = _dot_escape(token), "box"
             else:
                 label, shape = format_constant(token), "box"
             self.heads.append(f'  n{node_id} [label="{label}')
             self.tails.append(f'" shape={shape}];')
-        self.edges = "".join(f"\n  n{i} -> n{parent[i]};" for i in range(1, len(tokens))) + "\n}\n"
+        self.edges = "".join(edges) + "\n}\n"
 
     def lines(self, annotations: Mapping[int, str], base: Sequence[str] | None = None) -> list[str]:
         """base's node lines (plain by default), annotated nodes' lines rewritten."""

@@ -46,6 +46,7 @@ from .exprcore import (
     subtree_at,
     tree_from_json,
     tree_to_json,
+    trusted_tree,
 )
 
 # Substitute fitness for trees whose predictions overflow or degenerate;
@@ -203,8 +204,8 @@ def _random_trees(
     stop_from: int,
     names: Sequence[str],
     constant_range,
-) -> list[Tokens]:
-    """Preorder tokens of one random tree of target depth per entry of full.
+) -> list[ExpressionTree]:
+    """One random tree of target depth per entry of full.
 
     Each tree fills the preorder template of a full tree of that depth, with
     2**(depth + 1) - 1 slots. A slot at level depth is a leaf; so is a slot
@@ -213,7 +214,8 @@ def _random_trees(
     A block of rows trees draws, in this order: integers(0, len(OPERATORS),
     (rows, slots)) for operators, integers(0, len(names) + 1, (rows, slots))
     for leaves, the last pick a constant, random((rows, slots)) for stops,
-    and uniform(*constant_range, (rows, slots)) for constants.
+    and uniform(*constant_range, (rows, slots)) for constants. A tree drawn
+    this way is valid, so it is built without validation, with its depth.
     """
     n_ops, n_vars = len(OPERATORS), len(names)
     levels = np.zeros(1, dtype=np.intp)
@@ -229,7 +231,7 @@ def _random_trees(
     table = np.array([*OPERATORS, *names, None], dtype=object)
     full = np.asarray(full, dtype=bool)
     rows = max(1, TREE_SLOT_BLOCK // slots)
-    trees: list[Tokens] = []
+    trees: list[ExpressionTree] = []
     for start in range(0, len(full), rows):
         block = full[start : start + rows]
         shape = (len(block), slots)
@@ -248,7 +250,10 @@ def _random_trees(
         tokens[constant] = constants[kept][constant].tolist()
         tokens = tokens.tolist()
         ends = np.cumsum(kept.sum(axis=1)).tolist()
-        trees += [tuple(tokens[a:b]) for a, b in zip([0, *ends], ends)]
+        depths = np.where(kept, levels, 0).max(axis=1).tolist()
+        trees += [
+            trusted_tree(tuple(tokens[a:b]), d) for a, b, d in zip([0, *ends], ends, depths)
+        ]
     return trees
 
 
@@ -263,13 +268,13 @@ def init_population(config: GpConfig, variables: Iterable[str], draws: np.random
     lo, hi = config.init_depth_range
     depths = range(lo, hi + 1)
     group = np.arange(config.population_size) // 2 % len(depths)
-    tokens: list[Tokens] = [()] * config.population_size
+    trees: list = [None] * config.population_size
     for j, depth in enumerate(depths):
         members = np.flatnonzero(group == j)
         drawn = _random_trees(draws, members % 2 == 0, depth, lo, names, config.constant_range)
         for i, tree in zip(members.tolist(), drawn):
-            tokens[i] = tree
-    return [Individual(ExpressionTree(tree)) for tree in tokens]
+            trees[i] = tree
+    return [Individual(tree) for tree in trees]
 
 
 # Bytes of fitness's residual block, one row per tree and at least one row: enough rows
@@ -337,28 +342,34 @@ def crossover(
     point_b: int,
 ) -> tuple[ExpressionTree, ExpressionTree]:
     """Swap the subtrees rooted at point_a of parent_a and point_b of
-    parent_b. A child exceeding max_depth is replaced by a copy of its
-    corresponding parent."""
+    parent_b. A child exceeding max_depth is replaced by its corresponding
+    parent itself."""
+    tokens_a, tokens_b = parent_a.tokens, parent_b.tokens
     sub_a = subtree_at(parent_a, point_a)
     sub_b = subtree_at(parent_b, point_b)
-    # Children are built before their depth is checked: few exceed max_depth.
-    child_a = ExpressionTree(replace_at(parent_a, point_a, sub_b))
-    child_b = ExpressionTree(replace_at(parent_b, point_b, sub_a))
+    child_a = tokens_a[:point_a] + sub_b + tokens_a[point_a + len(sub_a) :]
+    child_b = tokens_b[:point_b] + sub_a + tokens_b[point_b + len(sub_b) :]
+    # A child is no deeper than its parents' depths summed, so most children
+    # need no depth check; a spliced child is valid and is not re-validated.
+    if parent_a.depth + parent_b.depth <= max_depth:
+        return trusted_tree(child_a), trusted_tree(child_b)
+    depth_a, depth_b = node_depth(child_a), node_depth(child_b)
     return (
-        parent_a if child_a.depth > max_depth else child_a,
-        parent_b if child_b.depth > max_depth else child_b,
+        parent_a if depth_a > max_depth else trusted_tree(child_a, depth_a),
+        parent_b if depth_b > max_depth else trusted_tree(child_b, depth_b),
     )
 
 
 def _point_mutation(tree: ExpressionTree, point: int, alternative: int, leaf: Tokens) -> ExpressionTree:
     """Swap the token at point for another of its kind: an operator for the
-    alternative-th of the other operators, a leaf for leaf's one token."""
+    alternative-th of the other operators, a leaf for leaf's one token. The
+    shape, and so the depth, stays the tree's."""
     token = tree.tokens[point]
     if token.__class__ is Operator:
         token = [op for op in OPERATORS if op is not token][alternative]
     else:
         (token,) = leaf
-    return ExpressionTree(tree.tokens[:point] + (token,) + tree.tokens[point + 1 :])
+    return trusted_tree(tree.tokens[:point] + (token,) + tree.tokens[point + 1 :], tree.depth)
 
 
 # Subtree replacements a mutation tries before it falls back to point mutation.
@@ -393,9 +404,10 @@ def mutate(
         fresh = _random_trees(draws, [False] * len(pending), 2, 0, names, constant_range)
         oversized = []
         for j, point, replacement in zip(pending, points, fresh):
-            tokens = replace_at(mutants[j], point, replacement)
-            if node_depth(tokens) <= max_depth:
-                mutants[j] = ExpressionTree(tokens)
+            tokens = replace_at(mutants[j], point, replacement.tokens)
+            depth = node_depth(tokens)
+            if depth <= max_depth:
+                mutants[j] = trusted_tree(tokens, depth)
             else:
                 oversized.append(j)
         pending = oversized
@@ -404,7 +416,7 @@ def mutate(
     alternatives = draws.integers(0, len(OPERATORS) - 1, len(pointwise)).tolist()
     leaves = _random_trees(draws, [True] * len(pointwise), 0, 0, names, constant_range)
     for j, point, alternative, leaf in zip(pointwise, points, alternatives, leaves):
-        mutants[j] = _point_mutation(mutants[j], point, alternative, leaf)
+        mutants[j] = _point_mutation(mutants[j], point, alternative, leaf.tokens)
     return mutants
 
 
@@ -491,10 +503,14 @@ def evolve(data: Dataset, response: str, config: GpConfig) -> FitResult:
     flat_generations = 0
 
     for generation in range(config.generations):
-        fresh = {tree.tokens: tree for tree in trees if tree.tokens not in cache}
+        # One lookup per tree; only the misses are looked up again once scored.
+        population = [cache.get(tree.tokens) for tree in trees]
+        missing = [i for i, ind in enumerate(population) if ind is None]
+        fresh = {trees[i].tokens: trees[i] for i in missing}
         scores = fitness(list(fresh.values()), data, response, config.parsimony_coeff)
         cache.update((key, Individual(tree, *score)) for (key, tree), score in zip(fresh.items(), scores))
-        population = [cache[tree.tokens] for tree in trees]
+        for i in missing:
+            population[i] = cache[trees[i].tokens]
 
         order, ranks = ranking(population)
         gen_best = population[order[0]]
@@ -529,6 +545,8 @@ def evolve(data: Dataset, response: str, config: GpConfig) -> FitResult:
 
         trees = breed(population, order, ranks, config, variables, *seeds.spawn(1))
 
+    # Bred trees skip validation; the one returned is checked, as model_from_document will check it.
+    ExpressionTree(best.tree.tokens)
     return FitResult(best=best, history=tuple(history), terminated_by=terminated_by)
 
 

@@ -248,6 +248,27 @@ class TestEvaluateBatch:
             rows = [{n: cols[n][i] for n in names} for i in range(40)]
             assert np.array_equal(batch, [naive_eval(tree.tokens, row) for row in rows])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_column_masks_apply_to_their_column_only(self):
+        # D's mask covers 0.0, 1e-7, -0.0 and NaN; D + 0.0 has D's values but is
+        # another array, so pdiv checks it, and B divides unprotected.
+        d = [2.0, 0.0, 1e-7, -0.0, math.nan, -3.0]
+        data = Dataset({"A": [1.0, 2.0, -3.0, 4.0, 5.0, 6.0], "B": [0.5, 2.0, 4.0, -1.0, 3.0, 1.5], "D": d})
+        div, add = Operator.PDIV, Operator.ADD
+        a, b, col = var_node("A"), var_node("B"), var_node("D")
+        same_d = op_node(add, col, const_node(0.0))
+        for tokens in (
+            op_node(div, a, col),
+            op_node(div, a, same_d),
+            op_node(div, col, same_d),
+            op_node(div, op_node(div, a, col), b),
+            op_node(div, op_node(div, a, b), op_node(div, col, col)),
+            op_node(div, const_node(2.0), col),
+        ):
+            batch = evaluate_batch(ExpressionTree(tokens), data)
+            rows = [{name: data.column(name)[i] for name in data.names} for i in range(len(d))]
+            assert [v.hex() for v in batch.tolist()] == [naive_eval(tokens, row).hex() for row in rows]
+
 
 class TestInfix:
     def test_reference_example(self):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import warnings
@@ -59,7 +60,7 @@ from ecd.gpsr import (
     ranking,
     select,
 )
-from ecd.synthbench import holdout_data
+from ecd.synthbench import SynthConfig, generate, holdout_data
 
 
 def init_draws(cfg):
@@ -772,6 +773,38 @@ class TestEvolve:
         no_predictors = Dataset({"Z": [1.0, 2.0]})
         with pytest.raises(InvalidConfig):
             evolve(no_predictors, "Z", GpConfig(population_size=10, generations=1))
+
+
+# sha256 of model_document's JSON text and history_to_csv for desk fits: the
+# default population of 2000 at 6 generations on the n=500 synthetic data,
+# where breeding reaches max_depth and rejects over-deep children at the scale
+# fits are timed. A deliberate change of the random stream or of breeding
+# re-records these.
+DESK_SHA256 = {
+    1: (
+        "30068c26e8ce89e56b481df8d8ba59e64382f801d3168395418ca2cbf3e3955c",
+        "df0f09028ea5c9fec32f830afeac78c6ac27dfe23a9093dd29e4f16f2132135e",
+    ),
+    2: (
+        "3d678d8cb015267abfafbf2af7286b00df15caaf78664d585ff9ac2b60fe7504",
+        "296216ae0dfba5486c8893b8d2da23e5592cadd9ed36808fee51b7b674f4ed7b",
+    ),
+    3: (
+        "510ae2847c4804ea064afa958073c6913e3f65101b32f3ff03c9170de7c84bd1",
+        "fc29ab3c6aca85e994eea9d5b80b1ceaa5ea1079eae600bd85753dbf4c9f7cf3",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DESK_SHA256))
+def test_desk_fit_bytes(seed):
+    data, truth = generate(SynthConfig(n=500, seed=seed))
+    config = GpConfig(generations=6, seed=seed)
+    res = evolve(data, truth.response, config)
+    variables = sorted(name for name in data.names if name != truth.response)
+    model = json.dumps(model_document(res.best, variables, config), indent=2, sort_keys=True)
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (model, history_to_csv(res.history)))
+    assert digests == DESK_SHA256[seed]
 
 
 class TestHistoryCsv:

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule, run_state_machine_as_test
 
 from conftest import VARS, naive_eval
+from ecd import gpsr
 from ecd.cli import COMMANDS, FIELDS, FLAGS, _impact_dots, main
 from ecd.dataio import Dataset, RoleConfig, filter_rows, load_csv
 from ecd.errors import EcdError, EmptyAfterFiltering, EmptyDataset, MissingColumn, ParseError
@@ -48,9 +49,12 @@ from ecd.gpsr import (
     MAX_INIT_DEPTH,
     MAX_POPULATION,
     PENALTY_MSE,
+    GpConfig,
     Individual,
+    _point_mutation,
     _random_trees,
     crossover,
+    evolve,
     fitness,
     mutate,
     ranking,
@@ -66,7 +70,7 @@ from ecd.ris import (
     ris,
     simplify_by_impact,
 )
-from ecd.synthbench import MAX_ROWS
+from ecd.synthbench import MAX_ROWS, SynthConfig, generate
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -171,6 +175,44 @@ def test_crossover_and_mutation_stay_within_max_depth(a, b, slack, seed):
         assert child.depth <= max_depth
 
 
+# Breeding builds its trees with trusted_tree, which skips validation: every
+# tree it makes must be the one validation builds from the same tokens.
+@PROPERTY
+@given(trees, st.integers(0, 2**32 - 1), st.integers(0, 5), st.integers(1, 8))
+def test_bred_trees_equal_their_validated_rebuild(a, seed, depth, max_depth):
+    rng = np.random.default_rng(seed)
+    drawn = _random_trees(rng, [True, False, False], depth, 1, VARS, (-5.0, 5.0))
+    bred = list(drawn)
+    for b in drawn:
+        # Small parents take the summed-depth shortcut, deep ones the check.
+        bred += crossover(a, b, max_depth, int(rng.integers(a.size)), int(rng.integers(b.size)))
+        bred += crossover(b, a, max_depth, int(rng.integers(b.size)), int(rng.integers(a.size)))
+    bred += mutate(bred, VARS, max_depth, (-5.0, 5.0), rng)
+    (leaf,) = _random_trees(rng, [True], 0, 0, VARS, (-5.0, 5.0))
+    bred += [_point_mutation(t, int(rng.integers(t.size)), int(rng.integers(3)), leaf.tokens) for t in bred]
+    for tree in bred:
+        rebuilt = ExpressionTree(tree.tokens)
+        assert (tree.size, tree.depth, tree.ends) == (rebuilt.size, rebuilt.depth, rebuilt.ends)
+
+
+def test_evolve_is_unchanged_when_every_bred_tree_is_validated(monkeypatch):
+    # Crossover on every pair at max_depth 3 takes both depth paths and rejects children.
+    data, truth = generate(SynthConfig(n=60, seed=4))
+    config = GpConfig(
+        population_size=300, generations=4, seed=2, crossover_prob=1.0, mutation_prob=0.5,
+        max_depth=3, init_depth_range=(1, 3),
+    )
+    trusted = evolve(data, truth.response, config)
+
+    def validated_tree(tokens, depth=None):
+        tree = ExpressionTree(tokens)
+        assert depth in (None, tree.depth)
+        return tree
+
+    monkeypatch.setattr(gpsr, "trusted_tree", validated_tree)
+    assert evolve(data, truth.response, config) == trusted
+
+
 def reference_evaluate(tree, data):
     """evaluate_batch as it was before the shared kernel: every constant an
     np.full array, numpy's ufuncs, and pdiv built from ones_like and
@@ -232,7 +274,7 @@ kernel_tokens = st.recursive(
 )
 # Ramped half-and-half's two shapes, as init_population draws them.
 grown_tokens = st.builds(
-    lambda seed, depth, full: _random_trees(np.random.default_rng(seed), [full], depth, 1, VARS, (-5.0, 5.0))[0],
+    lambda seed, depth, full: _random_trees(np.random.default_rng(seed), [full], depth, 1, VARS, (-5.0, 5.0))[0].tokens,
     st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans(),
 )
 kernel_data = st.integers(1, 6).flatmap(
