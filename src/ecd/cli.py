@@ -117,8 +117,8 @@ def _typed(value, default, what: str):
         if not isinstance(value, list) or len(value) != len(default):
             raise InvalidConfig(f"{what} must be a list of {len(default)}, got {value!r}")
         return tuple(_typed(v, d, what) for v, d in zip(value, default))
-    kind = "a string" if isinstance(default, str) else "a number"
     kinds = str if isinstance(default, str) else int if isinstance(default, int) else (int, float)
+    kind = {str: "a string", int: "an integer"}.get(kinds, "a number")
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise InvalidConfig(f"{what} must be {kind}, got {value!r}")
     if not isinstance(default, float):

@@ -95,7 +95,7 @@ def format_constant(value: float) -> str:
 _TOKEN_TYPES = frozenset((Operator, str, float))
 
 
-def _malformed(tokens: Tokens, parsed_end: int) -> MalformedTree:
+def _malformed(tokens: Tokens) -> MalformedTree:
     """The first fault of a token sequence that does not encode one tree."""
     for index, token in enumerate(tokens):
         if type(token) not in _TOKEN_TYPES:
@@ -104,31 +104,11 @@ def _malformed(tokens: Tokens, parsed_end: int) -> MalformedTree:
             return MalformedTree(f"node {index}: variable names must be nonempty")
     if not tokens:
         return MalformedTree("empty token sequence")
-    if parsed_end > len(tokens):
+    try:
+        end = _subtree_end(tokens, 0)
+    except IndexError:
         return MalformedTree("tokens end before every operator has 2 operands")
-    return MalformedTree(f"tokens continue past the end of the tree at node {parsed_end}")
-
-
-def _ends_and_depth(tokens: Tokens) -> tuple[list[int], int]:
-    """(ends, depth) of a token sequence, as ExpressionTree defines them, if
-    it encodes one tree; else ends[0] != len(tokens).
-
-    One pass from the last token back, so both operands of an operator are
-    done before it. A leaf ends just after itself; slots n and n + 1 stand
-    for an operand past the last token, and their end n + 1 carries up to
-    every operator above it.
-    """
-    n = len(tokens)
-    ends = list(range(1, n + 2))
-    ends.append(n + 1)
-    heights = [0] * (n + 2)
-    for i in range(n - 1, -1, -1):
-        if tokens[i].__class__ is Operator:
-            right = ends[i + 1]
-            ends[i] = ends[right]
-            a, b = heights[i + 1], heights[right]
-            heights[i] = (a if a > b else b) + 1
-    return ends, heights[0]
+    return MalformedTree(f"tokens continue past the end of the tree at node {end}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,11 +116,9 @@ class ExpressionTree:
     """A preorder token tuple that encodes one tree, with stable node ids.
 
     ExpressionTree(tokens) validates the tokens; trusted_tree builds a tree
-    whose tokens are valid by construction without that pass. ends[i] is
-    the index just past the subtree rooted at node i, so that subtree is
-    tokens[i:ends[i]]; an operator's left operand starts at i + 1 and its
-    right operand at ends[i + 1]. ends is derived on each read, not stored.
-    depth counts edges on the longest root-to-leaf path.
+    whose tokens are valid by construction without that pass. No subtree
+    bounds are stored: subtree_at finds one by a scan from its root. depth
+    counts edges on the longest root-to-leaf path.
     """
 
     tokens: Tokens
@@ -152,11 +130,10 @@ class ExpressionTree:
         if type(tokens) is not tuple:
             tokens = tuple(tokens)
             object.__setattr__(self, "tokens", tokens)
-        ends, depth = _ends_and_depth(tokens)
-        n = len(tokens)
-        if ends[0] != n or not _TOKEN_TYPES.issuperset(map(type, tokens)) or "" in tokens:
-            raise _malformed(tokens, ends[0])
-        object.__setattr__(self, "size", n)
+        depth = node_depth(tokens)
+        if depth is None or not _TOKEN_TYPES.issuperset(map(type, tokens)) or "" in tokens:
+            raise _malformed(tokens)
+        object.__setattr__(self, "size", len(tokens))
         object.__setattr__(self, "_depth", depth)
 
     @property
@@ -166,11 +143,6 @@ class ExpressionTree:
             depth = node_depth(self.tokens)
             object.__setattr__(self, "_depth", depth)
         return depth
-
-    @property
-    def ends(self) -> tuple[int, ...]:
-        ends, _ = _ends_and_depth(self.tokens)
-        return tuple(ends[: self.size])
 
     @property
     def infix(self) -> str:
@@ -205,21 +177,25 @@ def trusted_tree(tokens: Tokens, depth: int | None = None) -> ExpressionTree:
     return tree
 
 
-def node_depth(tokens: Tokens) -> int:
-    """Longest root-to-leaf path, counted in edges, of the tree that a valid
-    preorder token sequence encodes; cheaper than building the tree."""
+def node_depth(tokens: Tokens) -> int | None:
+    """Longest root-to-leaf path, counted in edges, of the tree that a
+    preorder token sequence encodes, or None when the sequence is not exactly
+    one tree; cheaper than building the tree."""
     deepest = level = 0
-    pending = [0]  # levels of the right operands still to visit, next on top
+    pending = [None]  # levels of the right operands still to visit, next on top
     push, pop = pending.append, pending.pop
-    for token in tokens:
-        if token.__class__ is Operator:
-            level += 1
-            push(level)  # its left operand follows at once, at the same level
-        else:
-            if level > deepest:
-                deepest = level
-            level = pop()  # the last leaf takes the 0
-    return deepest
+    try:
+        for token in tokens:
+            if token.__class__ is Operator:
+                level += 1
+                push(level)  # its left operand follows at once, at the same level
+            else:
+                if level > deepest:
+                    deepest = level
+                level = pop()  # the last leaf takes the None
+    except TypeError:  # a token after the last leaf meets the None as its level
+        return None
+    return None if pending else deepest
 
 
 def _subtree_end(tokens: Tokens, index: int) -> int:

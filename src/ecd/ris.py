@@ -27,6 +27,7 @@ from .exprcore import (
     evaluate,  # not called here: perfbench's tracer rebinds ris.evaluate
     evaluate_nodes,
     replace_at,
+    subtree_at,
 )
 
 QUARTILE_LABELS = ("Q1", "Q2", "Q3")
@@ -49,6 +50,8 @@ class BaselineSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "values", dict(self.values))
+        if "" in self.values:
+            raise InvalidConfig(f"{self.label} variable names must be nonempty")
         for name, value in self.values.items():
             if not math.isfinite(value):
                 raise NonFiniteBaseline(name, value)
@@ -347,24 +350,28 @@ def simplify_by_impact(
 
     # Maximal subtrees whose operator nodes are all quiet: one pass from the
     # last node back marks every qualifying subtree (leaves qualify, an
-    # operator when it is quiet and both operands qualify); a scan from the
+    # operator when it is quiet and both operands qualify), keeping a flag
+    # per operand still to be used as _run keeps values; a scan from the
     # root then takes the highest qualifying operators with a finite Q2 value
     # (the constant that replaces them), skipping their subtrees, so
     # candidates are disjoint and in preorder.
     q2_values = per_quartile[1][:, 0]
-    tokens, ends = tree.tokens, tree.ends
-    ok = [True] * tree.size
+    tokens = tree.tokens
+    ok = [False] * tree.size  # True at each qualifying operator
+    operands: list[bool] = []
     for node_id in range(tree.size - 1, -1, -1):
-        if isinstance(tokens[node_id], Operator):
-            ok[node_id] = (
-                max_delta[node_id] <= threshold and ok[node_id + 1] and ok[ends[node_id + 1]]
-            )
-    candidates: list[int] = []
+        if tokens[node_id].__class__ is Operator:
+            left = operands.pop()
+            operands[-1] = ok[node_id] = max_delta[node_id] <= threshold and left and operands[-1]
+        else:
+            operands.append(True)
+    candidates: list[tuple[int, int]] = []  # (root id, size) of each
     node_id = 0
     while node_id < tree.size:
-        if ok[node_id] and isinstance(tokens[node_id], Operator) and math.isfinite(q2_values[node_id]):
-            candidates.append(node_id)
-            node_id = ends[node_id]
+        if ok[node_id] and math.isfinite(q2_values[node_id]):
+            size = len(subtree_at(tree, node_id))
+            candidates.append((node_id, size))
+            node_id += size
         else:
             node_id += 1
 
@@ -379,7 +386,7 @@ def simplify_by_impact(
     current = tree
     shift = 0  # nodes removed so far ahead of the next candidate
     pruned: list[int] = []
-    for orig_id in candidates:
+    for orig_id, size in candidates:
         candidate = ExpressionTree(
             replace_at(current, orig_id - shift, const_node(q2_values[orig_id]))
         )
@@ -387,7 +394,7 @@ def simplify_by_impact(
             gaps = np.abs(evaluate_nodes(candidate, columns)[0] - original_outputs)
         if (gaps <= threshold).all():
             current = candidate
-            shift += ends[orig_id] - orig_id - 1
+            shift += size - 1
             pruned.append(orig_id)
 
     return current, pruned

@@ -2,8 +2,9 @@
 
 naive_eval and naive_derivative are written from scratch on purpose: they are
 the reference the library is checked against, so they share no code with it
-beyond reading the same preorder tokens. They find operands by their own
-recursive descent, not through ExpressionTree.ends.
+beyond reading the same preorder tokens. They find operands with
+subtree_end, their own count of the operand slots still to fill, as
+is_one_tree does.
 """
 
 import numpy as np
@@ -12,13 +13,37 @@ import pytest
 from ecd.exprcore import ExpressionTree, Operator
 
 
+def subtree_end(tokens, start):
+    """Index just past the subtree rooted at node start of a preorder token
+    tuple."""
+    end, need = start, 1
+    while need:
+        need += 1 if isinstance(tokens[end], Operator) else -1
+        end += 1
+    return end
+
+
+def subtree_ends(tokens):
+    """subtree_end of each node of a preorder token tuple."""
+    return tuple(subtree_end(tokens, start) for start in range(len(tokens)))
+
+
 def operands(tokens):
     """(left, right) token slices of an operator-rooted preorder token tuple."""
-    pos, need = 1, 1
-    while need:
-        need += 1 if isinstance(tokens[pos], Operator) else -1
-        pos += 1
+    pos = subtree_end(tokens, 1)
     return tokens[1:pos], tokens[pos:]
+
+
+def is_one_tree(tokens):
+    """Whether a sequence of operators and leaves is exactly one preorder
+    tree: the count of operand slots still to fill first reaches 0 at its
+    last token."""
+    need = 1
+    for token in tokens:
+        if not need:
+            return False
+        need += 1 if isinstance(token, Operator) else -1
+    return not need
 
 
 def naive_eval(tokens, bindings):

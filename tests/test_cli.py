@@ -254,11 +254,11 @@ class TestFit:
             ({"data": [1]}, "'data' must be an object"),
             ({"ris": {"magnitude": "x"}}, "ris.magnitude must be a number"),
             ({"ris": {"threshold": [1]}}, "ris.threshold must be a number"),
-            ({"gp": {"generations": "x"}}, "gp.generations must be a number"),
-            ({"gp": {"population_size": 50.5}}, "gp.population_size must be a number"),
+            ({"gp": {"generations": "x"}}, "gp.generations must be an integer"),
+            ({"gp": {"population_size": 50.5}}, "gp.population_size must be an integer"),
             ({"gp": {"init_depth_range": [2]}}, "gp.init_depth_range must be a list of 2"),
-            ({"seed": "x"}, "seed must be a number"),
-            ({"synth": {"n": "many"}}, "synth.n must be a number"),
+            ({"seed": "x"}, "seed must be an integer"),
+            ({"synth": {"n": "many"}}, "synth.n must be an integer"),
             ({"outdir": "x"}, "unknown top-level config fields: outdir"),
             ({"synth": {"size": 5}}, "unknown synth config fields: size"),
             ({"ris": {"magnitde": 0.1}}, "unknown ris config fields: magnitde"),
@@ -640,6 +640,22 @@ class TestCounterfactual:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_blank_scenario_name(self, tmp_path, caplog, route):
+        model_path = tmp_path / "model.json"
+        bcd_model(model_path)
+        cfg = tmp_path / "config.json"
+        write_config(cfg, {"scenario": {"": 7, "B": 2, "C": 3, "D": 5}} if route == "config" else {})
+        at = ["--at", "B=2", "--at", "C=3", "--at", "D=5", "--at", " =7"] if route == "flag" else []
+        out = tmp_path / "out"
+        code = main(
+            ["counterfactual", "--model", str(model_path), "--config", str(cfg), *at,
+             "--set", "D=6", "--out", str(out)]
+        )
+        assert code == 1
+        assert "scenario variable names must be nonempty" in caplog.text
+        assert not out.exists()
+
 
 class TestSimplify:
     def test_prunes_inert_subtree(self, tmp_path, capsys):
@@ -1010,11 +1026,11 @@ def test_counterfactual_takes_config_with_both_sources(tmp_path, caplog):
 # argparse's own refusals, and a flag's text that reads as the same bad value
 # of its config field would. MODEL stands for the path of a valid model.
 ARGV_FAULTS = {
-    "n-not-a-number": (["fit", "--synth", "--n", "abc"], "synth.n must be a number, got 'abc'"),
+    "n-not-a-number": (["fit", "--synth", "--n", "abc"], "synth.n must be an integer, got 'abc'"),
     "unknown-flag": (["fit", "--bogus"], "unrecognized arguments: --bogus"),
     "no-model": (["ris", "--synth"], "the following arguments are required: --model"),
     "unknown-mode": (["ris", "--model", "MODEL", "--synth", "--mode", "bogus"], "unknown perturbation mode 'bogus'"),
-    "float-seed": (["fit", "--synth", "--seed", "3.0"], "seed must be a number, got 3.0"),
+    "float-seed": (["fit", "--synth", "--seed", "3.0"], "seed must be an integer, got 3.0"),
     "set-not-a-number": (
         ["counterfactual", "--model", "MODEL", "--at", "D=5", "--set", "D=x"],
         "intervention.value must be a number, got 'x'",

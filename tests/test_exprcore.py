@@ -25,7 +25,7 @@ from ecd.exprcore import (
     tree_to_json,
     var_node,
 )
-from conftest import naive_eval, random_bindings, random_tree
+from conftest import naive_eval, random_bindings, random_tree, subtree_ends
 
 
 def bcd_tree():
@@ -112,8 +112,25 @@ class TestNodeValidation:
 
     def test_ends_and_depth(self):
         tree = bcd_tree()
-        assert tree.ends == (5, 2, 5, 4, 5)
+        assert subtree_ends(tree.tokens) == (5, 2, 5, 4, 5)
+        assert tuple(i + len(subtree_at(tree, i)) for i in range(tree.size)) == (5, 2, 5, 4, 5)
         assert (tree.size, tree.depth) == (5, 2)
+
+    @pytest.mark.parametrize(
+        "tokens, message",
+        [
+            ((Operator.ADD, "A", None), "node 2: unknown token type NoneType"),
+            ((Operator.ADD, "", "A"), "node 1: variable names must be nonempty"),
+            ((), "empty token sequence"),
+            ((Operator.ADD, "A", Operator.MUL, 2.0), "tokens end before every operator has 2 operands"),
+            ((Operator.ADD, "A", 2.0, "B"), "tokens continue past the end of the tree at node 3"),
+            (("A", Operator.ADD, "B"), "tokens continue past the end of the tree at node 1"),
+        ],
+    )
+    def test_malformed_messages(self, tokens, message):
+        with pytest.raises(MalformedTree) as excinfo:
+            ExpressionTree(tokens)
+        assert str(excinfo.value) == message
 
 
 class TestStructure:

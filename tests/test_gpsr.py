@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import subtree_end, subtree_ends
 from ecd import gpsr
 from ecd.dataio import Dataset
 from ecd.errors import (
@@ -113,7 +114,7 @@ def layout_mutants(trees, names, max_depth, constant_range, draws, outcomes):
         oversized = []
         for j, point, replacement in zip(pending, points, fresh):
             tokens = mutants[j].tokens
-            child = ExpressionTree(tokens[:point] + replacement + tokens[mutants[j].ends[point] :])
+            child = ExpressionTree(tokens[:point] + replacement + tokens[subtree_end(tokens, point) :])
             if child.depth <= max_depth:
                 mutants[j] = child
                 outcomes["subtree"] += 1
@@ -493,7 +494,7 @@ class TestMutate:
         tree = ExpressionTree(op_node(Operator.ADD, chain_tree(2).tokens, var_node("C")))
 
         def replaces_a_subtree(child):
-            for i, end in enumerate(tree.ends):
+            for i, end in enumerate(subtree_ends(tree.tokens)):
                 tail = child.size - (tree.size - end)
                 if child.tokens[:i] == tree.tokens[:i] and child.tokens[tail:] == tree.tokens[end:]:
                     try:

@@ -23,11 +23,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule, run_state_machine_as_test
 
-from conftest import VARS, naive_eval
+from conftest import VARS, is_one_tree, naive_eval
 from ecd import gpsr
 from ecd.cli import COMMANDS, FIELDS, FLAGS, _impact_dots, main
 from ecd.dataio import Dataset, RoleConfig, filter_rows, load_csv
-from ecd.errors import EcdError, EmptyAfterFiltering, EmptyDataset, MissingColumn, ParseError
+from ecd.errors import (
+    EcdError,
+    EmptyAfterFiltering,
+    EmptyDataset,
+    MalformedTree,
+    MissingColumn,
+    ParseError,
+)
 from ecd.exprcore import (
     DIV_EPSILON,
     ExpressionTree,
@@ -192,7 +199,24 @@ def test_bred_trees_equal_their_validated_rebuild(a, seed, depth, max_depth):
     bred += [_point_mutation(t, int(rng.integers(t.size)), int(rng.integers(3)), leaf.tokens) for t in bred]
     for tree in bred:
         rebuilt = ExpressionTree(tree.tokens)
-        assert (tree.size, tree.depth, tree.ends) == (rebuilt.size, rebuilt.depth, rebuilt.ends)
+        assert (tree.size, tree.depth) == (rebuilt.size, rebuilt.depth)
+
+
+# Validation is node_depth's one walk: it must accept exactly the sequences
+# that encode one tree, and refuse the rest, a complete tree with a token
+# after it included.
+@PROPERTY
+@given(st.lists(st.sampled_from(list(Operator)) | st.sampled_from(VARS) | st.floats(-4.0, 4.0), max_size=15))
+@example(["u", Operator.ADD, "v"])
+@example([Operator.MUL, 1.0, Operator.ADD, "u", "v"])
+def test_validation_accepts_exactly_one_tree(sequence):
+    try:
+        tree = ExpressionTree(sequence)
+    except MalformedTree:
+        assert not is_one_tree(sequence)
+    else:
+        assert is_one_tree(sequence)
+        assert tree.tokens == tuple(sequence) and tree.size == len(sequence)
 
 
 def test_evolve_is_unchanged_when_every_bred_tree_is_validated(monkeypatch):

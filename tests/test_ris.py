@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -26,6 +27,7 @@ from ecd.exprcore import (
     to_dot,
     var_node,
 )
+from ecd.gpsr import GpConfig, init_population
 from ecd.ris import (
     BaselineSpec,
     ImpactReport,
@@ -448,6 +450,27 @@ class TestSimplifyByImpact:
     def test_negative_threshold_rejected(self):
         with pytest.raises(InvalidConfig):
             simplify_by_impact(bcd_tree(), bcd_data(), ["B", "C", "D"], threshold=-1.0)
+
+
+# sha256 of repr([(simplified.tokens, pruned), ...]) over 280 init_population
+# trees at depths 2-8 on 12 random predictors (n=500), at thresholds 0, 0.01
+# and 1; 340 of the 840 calls prune. A deliberate change of which subtrees
+# simplify_by_impact prunes re-records it.
+SIMPLIFY_CORPUS_SHA256 = "7aeb32afc50e09997f1be6018bfef3251c0519e72ff1a6df5f5628f533234b61"
+
+
+def test_simplify_corpus_bytes():
+    names = [f"X{i}" for i in range(12)]
+    columns = np.random.default_rng(7)
+    data = Dataset({name: columns.normal(1.0, 2.0, 500) for name in names})
+    config = GpConfig(population_size=280, init_depth_range=(2, 8))
+    trees = [ind.tree for ind in init_population(config, names, np.random.default_rng(7))]
+    out = []
+    for threshold in (0.0, 0.01, 1.0):
+        for tree in trees:
+            simplified, pruned = simplify_by_impact(tree, data, names, threshold=threshold)
+            out.append((simplified.tokens, pruned))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == SIMPLIFY_CORPUS_SHA256
 
 
 class TestFormatting:
